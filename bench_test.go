@@ -1,7 +1,7 @@
 package recordlayer_test
 
-// One benchmark per experiment in EXPERIMENTS.md, plus microbenchmarks for
-// the load-bearing substrates. The experiment benches call the same harness
+// One benchmark per paper experiment (cmd/experiments -run <id>), plus
+// microbenchmarks for the load-bearing substrates. The experiment benches call the same harness
 // functions as cmd/experiments, so `go test -bench .` regenerates every
 // table and figure's underlying measurement. The micro benches exercise the
 // public recordlayer façade — Runner, StoreProvider, ExecuteQuery — the same
@@ -660,6 +660,9 @@ func BenchmarkPlannedQuery(b *testing.B) {
 	ctx := context.Background()
 	base := recordlayer.Query{RecordTypes: []string{"U"},
 		Filter: query.Field("name").BeginsWith("user-0002")}
+	// ran records the sub-benchmarks -bench selected: each plans its query
+	// shape once, however many times the framework calls it.
+	ran := map[string]bool{}
 	for _, bc := range []struct {
 		name string
 		q    recordlayer.Query
@@ -668,6 +671,7 @@ func BenchmarkPlannedQuery(b *testing.B) {
 		{"covering", base.Select("name", "id")},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
+			ran[bc.name] = true
 			readsBefore := env.db.Metrics().KeysRead.Load()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -696,8 +700,8 @@ func BenchmarkPlannedQuery(b *testing.B) {
 			b.ReportMetric(float64(env.db.Metrics().KeysRead.Load()-readsBefore)/float64(b.N), "simreads/op")
 		})
 	}
-	if st := env.provider.PlanCacheStats(); st.Misses != 2 {
-		b.Fatalf("plan cache misses = %d, want 2 (one per query shape)", st.Misses)
+	if st := env.provider.PlanCacheStats(); st.Misses != int64(len(ran)) {
+		b.Fatalf("plan cache misses = %d, want %d (one per query shape run)", st.Misses, len(ran))
 	}
 }
 

@@ -134,8 +134,8 @@
 // the consumer on a single goroutine (cursor.MapAsync — no worker
 // goroutines, so depth 8 costs the same as depth 1 when reads are instant).
 // Range scans prefetch their next batch while the current one drains
-// (kvcursor read-ahead, on by default; ExecuteProperties.NoReadAhead opts an
-// execution out when the footprint of one speculative batch matters).
+// (kvcursor read-ahead, always on; results are byte-identical to a
+// sequential scan).
 //
 // Index maintenance itself is two-phase: every maintainer implements
 // UpdateAsync(ctx, old, new), which issues the maintenance's probe reads
@@ -159,6 +159,34 @@
 // included — because prefetched-but-unconsumed batches are never metered.
 // Under `go test -bench . -args -latency 100us`, scripts/bench.sh records
 // both the instant-read and the latency-profile numbers in BENCH_8.json.
+//
+// # Store-state cache
+//
+// Every open checks the store header against the schema and needs every
+// index's lifecycle state (§5, §6). A cold open reads the header and the
+// whole index-state subspace together, in one round trip. Each
+// StoreProvider also keeps a store-state cache of those reads, validated by
+// FoundationDB's metadata-version key (\xff/metadataVersion), as the Java
+// Record Layer does. The key's value comes back with the GRV reply, so
+// checking it costs no round trip: a warm open waits out the GRV and issues
+// no read at all, and index scans, rank and text lookups and saves never
+// read index state. Every header or index-state write — store creation,
+// schema upgrade, SetUserVersion, the MarkIndex calls, DeleteAllRecords,
+// StoreProvider.Delete — sets the key to its commit versionstamp. An entry
+// is served only to transactions that see the version it was read at, so a
+// hit returns exactly what a read would have. A hit still adds read
+// conflicts on the header and index-state keys, so a concurrent state
+// change aborts the transaction at commit, as it would have with the reads.
+// A transaction that has bumped the key neither reads nor fills the cache.
+//
+// The trade-off: the key is global. Any store-state change anywhere — one
+// tenant's index marked readable, one store created or deleted — invalidates
+// every entry in every server's cache, and the next open of each store pays
+// the read again. The cache suits what CloudKit sees: very many stores whose
+// schema and index states rarely change. A deployment whose stores are
+// created or change index state constantly gains little.
+// StoreProvider.StoreStateCacheStats and the store_state_cache_* metric
+// families report hits, misses and invalidations.
 //
 // # Resource governance
 //
@@ -381,8 +409,8 @@
 // all seven invariants over the whole tree in CI; LINTING.md documents each
 // analyzer, its fixture, and the reasoned //lint:allow audit trail.
 //
-// See README.md for a guided overview, DESIGN.md for the system inventory,
-// and EXPERIMENTS.md for the paper-versus-measured record of every table and
-// figure. The root bench_test.go regenerates each experiment as a Go
-// benchmark; cmd/experiments prints them in the paper's format.
+// ROADMAP.md holds the project's aims and open items, CHANGES.md the record
+// of each change, and cloudbench/README.md the end-to-end benchmark. The
+// root bench_test.go regenerates each paper experiment as a Go benchmark;
+// cmd/experiments prints them in the paper's format.
 package recordlayer

@@ -213,14 +213,13 @@ func TestSaveRecordsOverlapsOldLoads(t *testing.T) {
 	}
 	sequential := wait(false)
 	batched := wait(true)
-	// Both variants pay 1 extra window for the first save's index-state
-	// reads (prefetched together, cached from then on). The loads
-	// themselves: n windows sequentially, 1 overlapped.
-	if want := int64((n + 1) * window); sequential != want {
+	// Open loaded every index state, so saves read none: n windows
+	// sequentially, 1 overlapped.
+	if want := int64(n * window); sequential != want {
 		t.Fatalf("sequential saves waited %v, want %v (one window per old-load)",
 			time.Duration(sequential), time.Duration(want))
 	}
-	if want := int64(2 * window); batched != want {
+	if want := int64(1 * window); batched != want {
 		t.Fatalf("batched saves waited %v, want %v (all old-loads in one window)",
 			time.Duration(batched), time.Duration(want))
 	}
@@ -348,20 +347,14 @@ func TestInsertRecord(t *testing.T) {
 	}
 }
 
-// TestIndexStateCached: repeated IndexState reads within one store hit the
-// cache (no extra simulator reads), and setIndexState keeps it coherent.
+// TestIndexStateCached: IndexState reads no key — Open loaded every state —
+// and setIndexState keeps the loaded states coherent.
 func TestIndexStateCached(t *testing.T) {
 	db, md, sp := newStoreEnv(t)
 	withStore(t, db, md, sp, func(s *Store) error {
-		if _, err := s.IndexState("user_by_name"); err != nil {
-			return err
-		}
 		before := s.tr.Stats().KeysRead
 		for i := 0; i < 5; i++ {
-			st, err := s.IndexState("user_by_name")
-			if err != nil {
-				return err
-			}
+			st := s.IndexState("user_by_name")
 			if st != metadata.StateReadable {
 				return fmt.Errorf("state = %v", st)
 			}
@@ -372,10 +365,7 @@ func TestIndexStateCached(t *testing.T) {
 		if err := s.MarkIndexWriteOnly("user_by_name"); err != nil {
 			return err
 		}
-		st, err := s.IndexState("user_by_name")
-		if err != nil {
-			return err
-		}
+		st := s.IndexState("user_by_name")
 		if st != metadata.StateWriteOnly {
 			return fmt.Errorf("after MarkIndexWriteOnly: state = %v, cache went stale", st)
 		}

@@ -18,11 +18,7 @@ func (s *Store) readableIndex(name string) (*metadata.Index, error) {
 	if !ok {
 		return nil, fmt.Errorf("core: no index %q", name)
 	}
-	st, err := s.IndexState(name)
-	if err != nil {
-		return nil, err
-	}
-	if st != metadata.StateReadable {
+	if st := s.IndexState(name); st != metadata.StateReadable {
 		return nil, fmt.Errorf("core: index %q is %v and cannot serve reads", name, st)
 	}
 	return ix, nil

@@ -83,10 +83,7 @@ func TestAddIndexSmallStoreBuildsInline(t *testing.T) {
 	// inline within the opening transaction (§5).
 	v2 := evolveSchema(t)
 	withStore(t, db, v2, sp, func(s *Store) error {
-		st, err := s.IndexState("by_score")
-		if err != nil {
-			return err
-		}
+		st := s.IndexState("by_score")
 		if st != metadata.StateReadable {
 			t.Fatalf("state after inline build: %v", st)
 		}
@@ -115,10 +112,7 @@ func TestAddIndexLargeStoreRequiresOnlineBuild(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		st, err := s.IndexState("by_score")
-		if err != nil {
-			return nil, err
-		}
+		st := s.IndexState("by_score")
 		if st != metadata.StateDisabled {
 			t.Fatalf("state for large store: %v", st)
 		}
@@ -444,10 +438,7 @@ func TestOnlineIndexerCancellation(t *testing.T) {
 	}
 	// The index must not have become readable.
 	withStore(t, db, v2, sp, func(s *Store) error {
-		st, err := s.IndexState("by_score")
-		if err != nil {
-			return err
-		}
+		st := s.IndexState("by_score")
 		if st != metadata.StateWriteOnly {
 			t.Fatalf("state after cancellation: %v, want write-only", st)
 		}

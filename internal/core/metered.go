@@ -1,6 +1,9 @@
 package core
 
-import "recordlayer/internal/fdb"
+import (
+	"recordlayer/internal/fdb"
+	"recordlayer/internal/metadata"
+)
 
 // This file is the package's only home for raw transaction reads: every
 // fdb.Get/GetRange in internal/core must flow through one of these helpers
@@ -38,4 +41,29 @@ func (s *Store) meteredSnapshotRange(begin, end []byte, o fdb.RangeOptions) ([]f
 	}
 	s.meterReadKVs(kvs)
 	return kvs, more, nil
+}
+
+// readStoreState reads the store header and the whole index-state subspace
+// in one round trip — both reads are issued before either is awaited — and
+// accounts the fetched pairs. It returns the raw header (nil when the store
+// does not exist) and the decoded non-readable index states.
+func (s *Store) readStoreState() ([]byte, map[string]metadata.IndexState, error) {
+	key := s.headerKey()
+	begin, end := s.stateRange()
+	header := s.tr.GetAsync(key)                                 //lint:allow meteredtxn audited helper: the header read, metered below
+	states := s.tr.GetRangeAsync(begin, end, fdb.RangeOptions{}) //lint:allow meteredtxn audited helper: the index-state read, metered below
+	raw, herr := header.Get()
+	kvs, _, err := states.Get()
+	if herr != nil {
+		return nil, nil, herr
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	if raw != nil {
+		s.meter.RecordRead(1, len(key)+len(raw))
+	}
+	s.meterReadKVs(kvs)
+	st, err := s.decodeIndexStates(kvs)
+	return raw, st, err
 }

@@ -249,28 +249,9 @@ func (s *Store) updateIndexesAsync(old, new *StoredRecord) ([]indexPending, erro
 		}
 		return new != nil && ix.AppliesTo(new.Type.Name)
 	}
-	// Resolve every applying index's lifecycle state in one shared window
-	// before issuing any maintenance; serial per-index reads would stack one
-	// window each on the first record.
-	names := make([]string, 0, len(s.md.Indexes()))
+	out := make([]indexPending, 0, len(s.md.Indexes()))
 	for _, ix := range s.md.Indexes() {
-		if appliesTo(ix) {
-			names = append(names, ix.Name)
-		}
-	}
-	if err := s.prefetchIndexStates(names); err != nil {
-		return nil, err
-	}
-	out := make([]indexPending, 0, len(names))
-	for _, ix := range s.md.Indexes() {
-		if !appliesTo(ix) {
-			continue
-		}
-		st, err := s.IndexState(ix.Name)
-		if err != nil {
-			return nil, err
-		}
-		if st == metadata.StateDisabled {
+		if !appliesTo(ix) || s.IndexState(ix.Name) == metadata.StateDisabled {
 			continue
 		}
 		m, err := s.maintainer(ix)
@@ -622,7 +603,8 @@ func (s *Store) DeleteAllRecords() error {
 	// Cached maintainers may hold per-transaction pipelining overlays whose
 	// write logs no longer describe the cleared index subspaces.
 	s.maintainers = make(map[string]index.Maintainer)
-	return nil
+	s.indexStates = nil // every index is back to the readable default
+	return s.tr.BumpMetadataVersion()
 }
 
 // ScanOptions controls record scans.
@@ -634,8 +616,6 @@ type ScanOptions struct {
 	Range index.TupleRange
 	// Snapshot reads without adding read conflict ranges.
 	Snapshot bool
-	// NoReadAhead disables the kvcursor's next-batch prefetch.
-	NoReadAhead bool
 }
 
 // ScanRecords streams records in primary key order. All record types share
@@ -666,10 +646,9 @@ func (s *Store) ScanRecords(opts ScanOptions) cursor.Cursor[*StoredRecord] {
 	// spans more pairs than the limit — a pair-granular limiter would halt
 	// mid-record with no progress.
 	kvs := kvcursor.New(s.tr, begin, end, kvcursor.Options{
-		Reverse:     opts.Reverse,
-		Snapshot:    opts.Snapshot,
-		Meter:       s.meter,
-		NoReadAhead: opts.NoReadAhead,
+		Reverse:  opts.Reverse,
+		Snapshot: opts.Snapshot,
+		Meter:    s.meter,
 	})
 	return &recordCursor{store: s, kvs: kvs, reverse: opts.Reverse, limiter: opts.Limiter}
 }

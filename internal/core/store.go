@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
 
 	"recordlayer/internal/fdb"
 	"recordlayer/internal/index"
@@ -87,11 +88,10 @@ type Store struct {
 	userVersion uint16 // per-transaction counter for versionstamps (§7)
 
 	maintainers map[string]index.Maintainer
-	// indexStates caches IndexState reads for the store's lifetime (one
-	// transaction): updateIndexes consults the state of every index on every
-	// save, and re-reading an unchanged key N times per transaction is pure
-	// overhead. All state changes flow through setIndexState, which keeps the
-	// cache coherent.
+	// indexStates holds every index whose state is not the readable
+	// default, read (or taken from the StoreStateCache) at open. All state
+	// changes flow through setIndexState and clearIndexData, which keep it
+	// current for the rest of the transaction.
 	indexStates map[string]metadata.IndexState
 }
 
@@ -105,6 +105,10 @@ type OpenOptions struct {
 	// save, scan, and index maintenance under this store meters the tenant
 	// without further plumbing.
 	Meter *resource.Meter
+	// StateCache, when set, serves the header and index states of a store
+	// whose state has not changed since the cache read it, so the open
+	// issues no read (see StoreStateCache). Nil reads them on every open.
+	StateCache *StoreStateCache
 }
 
 // ErrStaleMetaData is returned when the store header records a newer
@@ -121,24 +125,56 @@ func (e *ErrStaleMetaData) Error() string {
 // Open opens (or creates) the record store in space, verifying the header
 // against the supplied metadata and applying pending schema changes: newly
 // added indexes are enabled, built inline, or left for the online indexer;
-// removed indexes have their data cleared (§5).
+// removed indexes have their data cleared (§5). The header and every index
+// state are read together in one round trip, or taken from
+// opts.StateCache with no read at all.
 func Open(tr *fdb.Transaction, md *metadata.MetaData, space subspace.Subspace, opts OpenOptions) (*Store, error) {
 	s := &Store{tr: tr, md: md, space: space, cfg: opts.Config.withDefaults(),
-		meter: opts.Meter, trace: tr.Trace(), maintainers: make(map[string]index.Maintainer),
-		indexStates: make(map[string]metadata.IndexState)}
-	raw, err := s.meteredGet(s.headerKey())
-	if err != nil {
-		return nil, err
-	}
-	if raw == nil {
-		if !opts.CreateIfMissing {
-			return nil, fmt.Errorf("core: record store does not exist")
+		meter: opts.Meter, trace: tr.Trace(), maintainers: make(map[string]index.Maintainer)}
+	cache := opts.StateCache
+	var mv []byte
+	if cache != nil {
+		v, err := tr.MetadataVersion()
+		switch {
+		case err == nil:
+			mv = v
+		case fdb.IsAccessedUnreadable(err):
+			// This transaction changed some store's state: what it would
+			// read or fill is not what the metadata version vouches for.
+			cache = nil
+		default:
+			return nil, err
 		}
-		s.header = Header{MetaDataVersion: md.Version, FormatVersion: FormatVersion}
-		return s, s.writeHeader()
 	}
-	if err := json.Unmarshal(raw, &s.header); err != nil {
-		return nil, fmt.Errorf("core: corrupt store header: %v", err)
+	cached, hit := storeState{}, false
+	if cache != nil {
+		cached, hit = cache.get(mv, space.Bytes())
+	}
+	if hit {
+		// The reads a miss would have made still bound the transaction:
+		// a concurrent state change aborts it at commit, as it would have.
+		tr.AddReadConflictKey(s.headerKey())
+		tr.AddReadConflictRange(s.stateRange())
+		s.header, s.indexStates = cached.header, maps.Clone(cached.states)
+	} else {
+		raw, states, err := s.readStoreState()
+		if err != nil {
+			return nil, err
+		}
+		s.indexStates = states
+		if raw == nil {
+			if !opts.CreateIfMissing {
+				return nil, fmt.Errorf("core: record store does not exist")
+			}
+			s.header = Header{MetaDataVersion: md.Version, FormatVersion: FormatVersion}
+			return s, s.writeHeader()
+		}
+		if err := json.Unmarshal(raw, &s.header); err != nil {
+			return nil, fmt.Errorf("core: corrupt store header: %v", err)
+		}
+		if cache != nil {
+			cache.put(mv, space.Bytes(), storeState{header: s.header, states: states})
+		}
 	}
 	if s.header.FormatVersion > FormatVersion {
 		return nil, fmt.Errorf("core: store uses format version %d, newer than supported %d",
@@ -161,12 +197,40 @@ func Open(tr *fdb.Transaction, md *metadata.MetaData, space subspace.Subspace, o
 
 func (s *Store) headerKey() []byte { return s.space.Pack(tuple.Tuple{headerSub}) }
 
+// stateRange is the index-state subspace: one key per non-readable index.
+func (s *Store) stateRange() ([]byte, []byte) {
+	return s.space.RangeForTuple(tuple.Tuple{stateSub})
+}
+
+// decodeIndexStates parses the index-state subspace's pairs.
+func (s *Store) decodeIndexStates(kvs []fdb.KeyValue) (map[string]metadata.IndexState, error) {
+	if len(kvs) == 0 {
+		return nil, nil
+	}
+	states := make(map[string]metadata.IndexState, len(kvs))
+	for _, kv := range kvs {
+		k, err := s.space.Unpack(kv.Key)
+		if err != nil {
+			return nil, err
+		}
+		v, err := tuple.Unpack(kv.Value)
+		if err != nil {
+			return nil, err
+		}
+		states[k[1].(string)] = metadata.IndexState(v[0].(int64))
+	}
+	return states, nil
+}
+
 func (s *Store) writeHeader() error {
 	blob, err := json.Marshal(s.header)
 	if err != nil {
 		return err
 	}
-	return s.tr.Set(s.headerKey(), blob)
+	if err := s.tr.Set(s.headerKey(), blob); err != nil {
+		return err
+	}
+	return s.tr.BumpMetadataVersion()
 }
 
 // Header returns the store header as read or updated by Open.
@@ -266,77 +330,31 @@ func (s *Store) stateKey(name string) []byte {
 }
 
 // IndexState reports an index's lifecycle state; indexes default to readable
-// unless explicitly marked (§6). The first read per index is cached for the
-// store's (single-transaction) lifetime.
-func (s *Store) IndexState(name string) (metadata.IndexState, error) {
+// unless explicitly marked (§6). Open loaded every state, so this reads
+// nothing.
+func (s *Store) IndexState(name string) metadata.IndexState {
 	if st, ok := s.indexStates[name]; ok {
-		return st, nil
+		return st
 	}
-	raw, err := s.meteredGet(s.stateKey(name))
-	if err != nil {
-		return 0, err
-	}
-	st := metadata.StateReadable
-	if raw != nil {
-		t, err := tuple.Unpack(raw)
-		if err != nil {
-			return 0, err
-		}
-		st = metadata.IndexState(t[0].(int64))
-	}
-	s.indexStates[name] = st
-	return st, nil
-}
-
-// prefetchIndexStates resolves the lifecycle state of every named index not
-// yet cached, issuing all the probes before awaiting any — one latency window
-// for the whole set, where serial IndexState calls would pay one each. Reads
-// and metering are identical to the serial calls; only the windows overlap.
-func (s *Store) prefetchIndexStates(names []string) error {
-	type probe struct {
-		name string
-		key  []byte
-		fut  *fdb.FutureValue
-	}
-	var probes []probe
-	for _, name := range names {
-		if _, ok := s.indexStates[name]; ok {
-			continue
-		}
-		key := s.stateKey(name)
-		//lint:allow meteredtxn issue half of an issue/await pair; the awaited value is metered below like meteredGet
-		probes = append(probes, probe{name: name, key: key, fut: s.tr.GetAsync(key)})
-	}
-	for _, p := range probes {
-		raw, err := p.fut.Get()
-		if err != nil {
-			return err
-		}
-		st := metadata.StateReadable
-		if raw != nil {
-			s.meter.RecordRead(1, len(p.key)+len(raw))
-			t, err := tuple.Unpack(raw)
-			if err != nil {
-				return err
-			}
-			st = metadata.IndexState(t[0].(int64))
-		}
-		s.indexStates[p.name] = st
-	}
-	return nil
+	return metadata.StateReadable
 }
 
 func (s *Store) setIndexState(name string, st metadata.IndexState) error {
-	var err error
 	if st == metadata.StateReadable {
-		err = s.tr.Clear(s.stateKey(name))
-	} else {
-		err = s.tr.Set(s.stateKey(name), tuple.Tuple{int64(st)}.Pack())
+		if err := s.tr.Clear(s.stateKey(name)); err != nil {
+			return err
+		}
+		delete(s.indexStates, name)
+		return s.tr.BumpMetadataVersion()
 	}
-	if err == nil {
-		s.indexStates[name] = st
+	if err := s.tr.Set(s.stateKey(name), tuple.Tuple{int64(st)}.Pack()); err != nil {
+		return err
 	}
-	return err
+	if s.indexStates == nil {
+		s.indexStates = make(map[string]metadata.IndexState)
+	}
+	s.indexStates[name] = st
+	return s.tr.BumpMetadataVersion()
 }
 
 // MarkIndexWriteOnly moves an index to the write-only state: maintained by
@@ -369,8 +387,11 @@ func (s *Store) clearIndexData(name string) error {
 	if err := s.tr.Clear(s.stateKey(name)); err != nil {
 		return err
 	}
-	s.indexStates[name] = metadata.StateReadable // cleared state = readable default
-	return s.tr.Clear(s.space.Pack(tuple.Tuple{progressSub, name}))
+	delete(s.indexStates, name) // cleared state = readable default
+	if err := s.tr.Clear(s.space.Pack(tuple.Tuple{progressSub, name})); err != nil {
+		return err
+	}
+	return s.tr.BumpMetadataVersion()
 }
 
 // maintainer returns (cached) the maintainer for an index.
@@ -406,5 +427,8 @@ func (s *Store) indexContext(ix *metadata.Index) *index.Context {
 // header and operational state. Tenant removal is one range clear (§3).
 func DeleteStore(tr *fdb.Transaction, space subspace.Subspace) error {
 	b, e := space.Range()
-	return tr.ClearRange(b, e)
+	if err := tr.ClearRange(b, e); err != nil {
+		return err
+	}
+	return tr.BumpMetadataVersion()
 }

@@ -35,11 +35,6 @@ func TestRankReadSpans(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		// Warm the index-state cache so the spans below cover only the
-		// descent, making their clock boundaries exact.
-		if _, err := s.IndexState("score_rank"); err != nil {
-			return nil, err
-		}
 		type op struct {
 			attr string
 			call func() error

@@ -1,6 +1,6 @@
 // Package exp is the experiment harness: histogram and percentile helpers
 // plus table rendering used by cmd/experiments and the benchmark suite to
-// regenerate every table and figure in the paper (see EXPERIMENTS.md).
+// regenerate every table and figure in the paper.
 package exp
 
 import (

@@ -8,7 +8,7 @@
 // strictly-serializable transactions whose read conflict ranges are validated
 // at commit time against the write ranges of concurrently committed
 // transactions — so the layers built on top exercise the same code paths they
-// would on a real cluster. See DESIGN.md §3 for the substitution argument.
+// would on a real cluster.
 package fdb
 
 import (
@@ -390,11 +390,17 @@ func (d *Database) transact(f func(*Transaction) (interface{}, error), commit, r
 	}
 }
 
-// Size returns the number of live keys (for tests and experiments).
+// Size returns the number of live keys in the user keyspace (for tests and
+// experiments); system keys, which begin with 0xFF (MetadataVersionKey), are
+// not counted.
 func (d *Database) Size() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.root.count()
+	n := d.root.count()
+	for it := newTreapIter(d.root, []byte{0xFF}, false); it.peek() != nil; it.next() {
+		n--
+	}
+	return n
 }
 
 // Clear removes all data (test helper).

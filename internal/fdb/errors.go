@@ -14,6 +14,7 @@ const (
 	CodeFutureVersion       = 1009 // read version is ahead of the cluster; retryable
 	CodeTransactionTimedOut = 1031 // exceeded the 5 second limit
 	CodeTransactionCanceled = 1025
+	CodeAccessedUnreadable  = 1036 // read of a key this transaction wrote with a versionstamp
 	CodeUsedDuringCommit    = 2017
 	CodeTransactionTooLarge = 2101
 	CodeKeyTooLarge         = 2102
@@ -60,6 +61,14 @@ func IsRetryable(err error) bool {
 func IsConflict(err error) bool {
 	var fe *Error
 	return errors.As(err, &fe) && fe.Code == CodeNotCommitted
+}
+
+// IsAccessedUnreadable reports whether err is (or wraps) accessed_unreadable:
+// the transaction read a key whose value it has set to its own, not yet
+// known, commit versionstamp (MetadataVersion after BumpMetadataVersion).
+func IsAccessedUnreadable(err error) bool {
+	var fe *Error
+	return errors.As(err, &fe) && fe.Code == CodeAccessedUnreadable
 }
 
 // IsMaybeCommitted reports whether err is (or wraps) commit_unknown_result:

@@ -99,6 +99,12 @@ type txnState struct {
 	// no earlier than it, so the GRV window pipelines with the first read
 	// window instead of stacking serially with every read.
 	grvReady int64
+	// grvReply is set when the read version came from a GRV call, whose
+	// reply also carries MetadataVersionKey; SetReadVersion leaves it unset.
+	grvReply bool
+	// mvBumped is set by BumpMetadataVersion: the metadata version is then
+	// unreadable for the rest of the transaction.
+	mvBumped bool
 
 	writes         map[string]*bufEntry
 	sortedKeys     []string // cache of sorted writes keys; nil when dirty
@@ -163,6 +169,7 @@ func (t *Transaction) ensureSnapshot() error {
 	}
 	if t.readVersion < 0 {
 		t.readVersion, t.snapRoot = t.db.grv()
+		t.grvReply = true
 		// A SetReadVersion transaction never reaches here — read-version
 		// caching skips the GRV round trip and therefore its price.
 		if m := t.db.opts.Latency; m.Enabled() && m.PerGRV > 0 {

@@ -192,10 +192,9 @@ func (m *RankMaintainer) ScanByRank(ctx *Context, startRank int64, opts ScanOpti
 	begin = append(begin, memberKey...)
 	_, end := vctx.Space.Range()
 	kvs := kvcursor.New(ctx.Tr, begin, end, kvcursor.Options{
-		Reverse:     opts.Reverse,
-		Limiter:     opts.Limiter,
-		Snapshot:    opts.Snapshot,
-		NoReadAhead: opts.NoReadAhead,
+		Reverse:  opts.Reverse,
+		Limiter:  opts.Limiter,
+		Snapshot: opts.Snapshot,
 	})
 	space := vctx.Space
 	vm := m.value

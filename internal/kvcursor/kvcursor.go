@@ -34,22 +34,23 @@ type Options struct {
 	// MaxBatchSize caps the batch growth (default 4096). Set it equal to
 	// BatchSize to disable growth.
 	MaxBatchSize int
-	// NoReadAhead disables speculative prefetch of the next batch. By default
-	// the cursor issues the following batch's range read as a future the
-	// moment the current batch arrives, so the next fill's I/O latency
-	// overlaps with draining the buffer (§8). For a transaction that does not
-	// write into the unscanned remainder of the range mid-scan — every scan
-	// in the layer — results are byte-identical either way; a transaction
-	// that does write ahead of the cursor sees those writes one batch later
-	// than a sequential scan would (futures resolve at issue; note that
-	// sequential scans already miss writes landing inside their buffered
-	// batch, so same-range RYW mid-scan has always been batch-granular).
-	// Read-ahead also makes the footprint eager: the prefetched batch is read
-	// (conflict-ranged and counted in TxnStats) even if the consumer halts
-	// inside the current one, though prefetched-but-unconsumed batches are
-	// never metered to the tenant. Set NoReadAhead when exact footprint or
-	// tightest-possible RYW matters more than batch-boundary latency.
-	NoReadAhead bool
+
+	// noReadAhead disables the speculative prefetch of the next batch; the
+	// package's tests use it as the sequential baseline that read-ahead
+	// must match byte for byte. By default the cursor issues the following
+	// batch's range read as a future the moment the current batch arrives,
+	// so the next fill's I/O latency overlaps with draining the buffer (§8).
+	// For a transaction that does not write into the unscanned remainder of
+	// the range mid-scan — every scan in the layer — results are
+	// byte-identical either way; a transaction that does write ahead of the
+	// cursor sees those writes one batch later than a sequential scan would
+	// (futures resolve at issue; sequential scans already miss writes
+	// landing inside their buffered batch, so same-range RYW mid-scan has
+	// always been batch-granular). Read-ahead also makes the footprint
+	// eager: the prefetched batch is read (conflict-ranged and counted in
+	// TxnStats) even if the consumer halts inside the current one, though
+	// prefetched-but-unconsumed batches are never metered to the tenant.
+	noReadAhead bool
 }
 
 // Default batch sizing: start small so point-ish scans stay cheap, grow
@@ -149,7 +150,7 @@ func (c *kvCursor) fill() error {
 			c.batch = c.opts.MaxBatchSize
 		}
 	}
-	if more && !c.opts.NoReadAhead {
+	if more && !c.opts.noReadAhead {
 		// Issue the next batch now: its latency window elapses while the
 		// consumer drains the batch just delivered.
 		c.pending = c.issueBatch()
@@ -161,9 +162,9 @@ func (c *kvCursor) fill() error {
 // read-ahead future is in flight, it issues the next batch's range read
 // without awaiting it, so a composite parent can overlap this cursor's fill
 // with its siblings'. Results are unchanged — Next's fill consumes the
-// pending future exactly as if it had issued the read itself. Honors
-// NoReadAhead only in spirit: the issued batch is one Next is already
-// committed to reading, not a speculative extra.
+// pending future exactly as if it had issued the read itself. The issued
+// batch is one Next is already committed to reading, not a speculative
+// extra, so the sequential baseline (noReadAhead) issues it too.
 func (c *kvCursor) Prefetch() {
 	if c.halted != nil || c.pending != nil || c.bufPos < len(c.buf) {
 		return

@@ -151,8 +151,8 @@ func TestMergePipelinedMatchesSerial(t *testing.T) {
 		name string
 		opts Options
 	}{
-		{"batch1-noRA", Options{BatchSize: 1, MaxBatchSize: 1, NoReadAhead: true}},
-		{"batch2-noRA", Options{BatchSize: 2, MaxBatchSize: 2, NoReadAhead: true}},
+		{"batch1-noRA", Options{BatchSize: 1, MaxBatchSize: 1, noReadAhead: true}},
+		{"batch2-noRA", Options{BatchSize: 2, MaxBatchSize: 2, noReadAhead: true}},
 		{"batch3-RA", Options{BatchSize: 3}},
 		{"default", Options{}},
 	}
@@ -211,7 +211,7 @@ func TestMergePipelinedHaltsMidPage(t *testing.T) {
 func TestMergePipelinedPaging(t *testing.T) {
 	db := fdb.Open(nil)
 	mergeSeed(t, db, 30)
-	opts := Options{BatchSize: 2, MaxBatchSize: 2, NoReadAhead: true}
+	opts := Options{BatchSize: 2, MaxBatchSize: 2, noReadAhead: true}
 	for _, union := range []bool{true, false} {
 		kind := "intersection"
 		if union {
@@ -267,7 +267,7 @@ func TestMergeStepSharesOneWindow(t *testing.T) {
 		wait := func(serial bool) int64 {
 			var w int64
 			_, err := db.ReadTransact(func(tr *fdb.Transaction) (interface{}, error) {
-				opts := Options{BatchSize: 1, MaxBatchSize: 1, NoReadAhead: true}
+				opts := Options{BatchSize: 1, MaxBatchSize: 1, noReadAhead: true}
 				builders := mergeBuilders(tr, opts, serial)
 				var c cursor.Cursor[fdb.KeyValue]
 				var err error

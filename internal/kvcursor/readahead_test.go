@@ -53,7 +53,7 @@ func TestReadAheadEquivalence(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			run := func(noRA bool) (pairs, conts []string, reason cursor.NoNextReason, cont []byte) {
 				opts := tc.opts
-				opts.NoReadAhead = noRA
+				opts.noReadAhead = noRA
 				if tc.lim != nil {
 					opts.Limiter = tc.lim()
 				}
@@ -91,7 +91,7 @@ func TestReadAheadContinuationRoundTrip(t *testing.T) {
 	if len(keys) != 11 || reason != cursor.ScanLimitReached {
 		t.Fatalf("first page: %d keys, %v", len(keys), reason)
 	}
-	rest, reason2, _ := collect(t, db, Options{BatchSize: 4, Continuation: cont, NoReadAhead: true}, "k", "l")
+	rest, reason2, _ := collect(t, db, Options{BatchSize: 4, Continuation: cont, noReadAhead: true}, "k", "l")
 	if len(rest) != 19 || reason2 != cursor.SourceExhausted {
 		t.Fatalf("resume: %d keys, %v", len(rest), reason2)
 	}
@@ -123,7 +123,7 @@ func TestReadAheadOverlapsLatency(t *testing.T) {
 	wait := func(noRA bool) int64 {
 		var w int64
 		_, err := db.ReadTransact(func(tr *fdb.Transaction) (interface{}, error) {
-			c := New(tr, []byte("k"), []byte("l"), Options{BatchSize: batch, MaxBatchSize: batch, NoReadAhead: noRA})
+			c := New(tr, []byte("k"), []byte("l"), Options{BatchSize: batch, MaxBatchSize: batch, noReadAhead: noRA})
 			for {
 				r, err := c.Next()
 				if err != nil {

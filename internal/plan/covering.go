@@ -70,7 +70,6 @@ func (p *CoveringIndexScanPlan) Execute(s *core.Store, opts ExecuteOptions) (cur
 		Limiter:      opts.Limiter,
 		Continuation: opts.Continuation,
 		Snapshot:     opts.Snapshot,
-		NoReadAhead:  opts.NoReadAhead,
 	})
 	if err != nil {
 		return nil, err

@@ -28,8 +28,6 @@ type ExecuteOptions struct {
 	// PipelineDepth is how many record fetches an index scan keeps in flight
 	// (§8's asynchronous pipelining); <= 1 fetches sequentially.
 	PipelineDepth int
-	// NoReadAhead disables the scans' next-batch prefetch.
-	NoReadAhead bool
 	// Stats, when non-nil, is the obs.PlanStats node this plan fills during
 	// execution — rows in/out, attributed simulator I/O, continuation pages —
 	// the substrate of EXPLAIN ANALYZE. Each plan creates its children's
@@ -187,7 +185,6 @@ func (p *FullScanPlan) Execute(s *core.Store, opts ExecuteOptions) (cursor.Curso
 		Limiter:      opts.Limiter,
 		Continuation: opts.Continuation,
 		Snapshot:     opts.Snapshot,
-		NoReadAhead:  opts.NoReadAhead,
 	})
 	if len(p.Types) == 0 {
 		return observe(opts.Stats, s, true, c), nil
@@ -238,7 +235,6 @@ func (p *IndexScanPlan) Execute(s *core.Store, opts ExecuteOptions) (cursor.Curs
 		Limiter:      opts.Limiter,
 		Continuation: opts.Continuation,
 		Snapshot:     opts.Snapshot,
-		NoReadAhead:  opts.NoReadAhead,
 	})
 	if err != nil {
 		return nil, err

@@ -191,9 +191,9 @@ func RegisterAccountantMetrics(r *MetricsRegistry, acct *Accountant) {
 		func(u TenantUsage) float64 { return float64(u.Conflicts) })
 }
 
-// RegisterMetrics exports the provider's query-side metrics: plan cache
-// effectiveness and, when a SlowQueries log is installed, the slow-query
-// counter and the full query-latency histogram.
+// RegisterMetrics exports the provider's metrics: store-state cache and plan
+// cache effectiveness and, when a SlowQueries log is installed, the
+// slow-query counter and the full query-latency histogram.
 func (p *StoreProvider) RegisterMetrics(r *MetricsRegistry) {
 	r.Counter("plan_cache_hits_total", "Queries answered from the plan cache.",
 		func() []MetricSample { return obs.Single(float64(p.plans.Stats().Hits)) })
@@ -203,6 +203,12 @@ func (p *StoreProvider) RegisterMetrics(r *MetricsRegistry) {
 		func() []MetricSample { return obs.Single(float64(p.plans.Stats().Evictions)) })
 	r.Gauge("plan_cache_size", "Plans currently cached.",
 		func() []MetricSample { return obs.Single(float64(p.plans.Stats().Size)) })
+	r.Counter("store_state_cache_hits_total", "Store opens served from the store-state cache with no read.",
+		func() []MetricSample { return obs.Single(float64(p.states.Stats().Hits)) })
+	r.Counter("store_state_cache_misses_total", "Store opens that read the header and index states.",
+		func() []MetricSample { return obs.Single(float64(p.states.Stats().Misses)) })
+	r.Counter("store_state_cache_invalidations_total", "Store-state cache entries dropped by a metadata-version change.",
+		func() []MetricSample { return obs.Single(float64(p.states.Stats().Invalidations)) })
 	if log := p.opts.SlowQueries; log != nil {
 		r.Counter("slow_queries_total", "Query executions over their slow threshold.",
 			func() []MetricSample { return obs.Single(float64(log.SlowTotal())) })

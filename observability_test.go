@@ -57,9 +57,10 @@ func TestPipelinedScanTraceSpans(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Group read spans by their issue window: sequential reads (store open,
-	// index scan batches) each occupy their own window; the 8 pipelined
-	// fetches were all issued before any was awaited, so they share one.
+	// Group read spans by their issue window: sequential reads (index scan
+	// batches) each occupy their own window; the cold store open issues its
+	// header and index-state reads together, and the 8 pipelined fetches
+	// were all issued before any was awaited, so each set shares one.
 	type win struct{ start, end int64 }
 	groups := map[win]int{}
 	for _, s := range trace.Named(obs.SpanRead) {
@@ -69,16 +70,21 @@ func TestPipelinedScanTraceSpans(t *testing.T) {
 		groups[win{s.Start, s.End}]++
 	}
 	var fetchWin win
-	found := 0
+	found, opens := 0, 0
 	for w, n := range groups {
-		if n == 8 {
+		switch n {
+		case 8:
 			fetchWin, found = w, found+1
-		} else if n != 1 {
+		case 2:
+			opens++
+		case 1:
+		default:
 			t.Fatalf("unexpected read group of %d spans at %+v", n, w)
 		}
 	}
-	if found != 1 {
-		t.Fatalf("want exactly one 8-read issue window, got %d (groups: %v)", found, groups)
+	if found != 1 || opens != 1 {
+		t.Fatalf("want exactly one 8-read issue window and one 2-read open window, got %d and %d (groups: %v)",
+			found, opens, groups)
 	}
 	// Exactly one await resolves that window: the first fetch blocks until
 	// ready, the other seven find their data already resolved.
@@ -336,10 +342,9 @@ func TestExplainQueryCoveringVsFetch(t *testing.T) {
 		wantPlan  string
 		wantReads int64 // per-node simreads on the scan leaf
 	}{
-		// The benchmark reports 302 (fetch) vs 102 (covering) keys per
-		// operation; 2 of each are the store-open reads, which happen before
-		// EXPLAIN's execution and are attributed to no plan node. 100 entries
-		// + 200 record keys on the fetch path, 100 entries alone covering.
+		// The benchmark reports 300 (fetch) vs 100 (covering) keys per
+		// operation: a warm store open reads nothing. 100 entries + 200
+		// record keys on the fetch path, 100 entries alone covering.
 		{"fetch", fetch, "Index(by_name", 300},
 		{"covering", covering, "Covering(Index(by_name", 100},
 	} {
@@ -349,10 +354,10 @@ func TestExplainQueryCoveringVsFetch(t *testing.T) {
 		if want := fmt.Sprintf("simreads=%d", c.wantReads); !strings.Contains(c.out, want) {
 			t.Fatalf("%s: %s missing in:\n%s", c.name, want, c.out)
 		}
-		// Transaction totals run one key above the plan-attributed reads:
-		// the scan's index-state readability check happens at cursor
-		// construction, inside the transaction but outside any Next window.
-		if want := fmt.Sprintf("txn: keys_read=%d", c.wantReads+1); !strings.Contains(c.out, want) {
+		// Transaction totals equal the plan-attributed reads: the scan's
+		// index-state readability check reads nothing (Open loaded the
+		// states).
+		if want := fmt.Sprintf("txn: keys_read=%d", c.wantReads); !strings.Contains(c.out, want) {
 			t.Fatalf("%s: %s missing in:\n%s", c.name, want, c.out)
 		}
 		if !strings.Contains(c.out, "rows: 100") {

@@ -60,6 +60,7 @@ type StoreProvider struct {
 
 	planner *plan.Planner
 	plans   *PlanCache
+	states  *core.StoreStateCache
 }
 
 // NewStoreProvider creates a provider. template names the keyspace
@@ -79,6 +80,7 @@ func NewStoreProvider(md *metadata.MetaData, ks *keyspace.KeySpace, template []s
 		opts:     opts,
 		planner:  plan.New(md, opts.Planner),
 		plans:    NewPlanCache(opts.PlanCacheSize),
+		states:   core.NewStoreStateCache(),
 	}, nil
 }
 
@@ -88,11 +90,23 @@ func (p *StoreProvider) MetaData() *metadata.MetaData { return p.md }
 // PlanCacheStats reports the shared plan cache's counters.
 func (p *StoreProvider) PlanCacheStats() PlanCacheStats { return p.plans.Stats() }
 
+// StoreStateCacheStats holds the counters of a provider's store-state cache
+// (see doc.go, "Store-state cache").
+type StoreStateCacheStats = core.StoreStateCacheStats
+
+// StoreStateCacheStats reports the provider's store-state cache counters:
+// opens served with no read (hits), opens that read the header and index
+// states (misses), and entries dropped because some store's state changed
+// (invalidations).
+func (p *StoreProvider) StoreStateCacheStats() StoreStateCacheStats { return p.states.Stats() }
+
 // Open opens (creating if missing) the record store for one tenant inside
 // tr: the template's variable directories are bound to tenant, the path is
 // compiled to a subspace (resolving interned directories through the
 // directory layer), and the store header is verified against the provider's
-// metadata.
+// metadata. The header and index states come from the provider's
+// store-state cache when no store's state has changed since it read them,
+// so a warm open waits out the GRV and issues no read.
 //
 // Open also binds the tenant's resource meter: the meter riding the context
 // (attached by a Runner with an Accountant) wins; otherwise, with a
@@ -119,6 +133,7 @@ func (p *StoreProvider) Open(ctx context.Context, tr *fdb.Transaction, tenant ..
 		CreateIfMissing: true,
 		Config:          p.opts.Config,
 		Meter:           meter,
+		StateCache:      p.states,
 	})
 	if err != nil {
 		return nil, err
@@ -209,7 +224,6 @@ func (s *Store) executePlan(ctx context.Context, pl plan.Plan, props ExecuteProp
 		Limiter:       props.limiter(ctx),
 		Snapshot:      props.Snapshot,
 		PipelineDepth: props.pipelineDepth(),
-		NoReadAhead:   props.NoReadAhead,
 		Stats:         stats,
 	})
 	if err != nil {
