@@ -266,6 +266,8 @@ func runChaos(w io.Writer, short bool) error {
 			stats.CounterAcked, stats.CounterAcked+stats.CounterUnknown)
 		fmt.Fprintf(w, "    scrub: %d entries + %d records verified, %d issues\n",
 			stats.ScrubEntries, stats.ScrubRecords, stats.ScrubIssues)
+		fmt.Fprintf(w, "    metering: tenant billed %d reads/%d bytes, cluster read %d/%d\n",
+			stats.MeteredReads, stats.MeteredReadBytes, stats.ClusterReads, stats.ClusterReadBytes)
 		fmt.Fprintf(w, "    leases: %d rounds, %d failed heartbeats, slice-sum ok: %v, enforced-sum ok: %v\n",
 			stats.LeaseRounds, stats.LeaseRefreshFailures, stats.LeaseSliceSumOK, stats.LeaseEnforcedSumOK)
 		if len(stats.RetriesByCause) > 0 {

@@ -155,8 +155,9 @@
 // a merge step first re-issues the next batch fetch on every child that
 // needs one, so a K-way merge pays one shared window per step rather than
 // K sequential ones (BenchmarkMergeQuery). Results stay byte-identical to
-// the serial drain — order, halt reasons, continuations, and metering
-// included — because prefetched-but-unconsumed batches are never metered.
+// the serial drain — order, halt reasons, and continuations included. The
+// I/O does not: a prefetched batch the merge never takes was still read, so
+// it is counted and billed (see "Resource governance").
 // Under `go test -bench . -args -latency 100us`, scripts/bench.sh records
 // both the instant-read and the latency-profile numbers in BENCH_8.json.
 //
@@ -191,9 +192,10 @@
 // # Resource governance
 //
 // Bind a tenant identity to the request context and give the Runner a
-// Governor; everything below meters automatically (the tenant's meter rides
-// the context into store opens, scans, record loads/saves, and index
-// maintenance — no extra parameters):
+// Governor; everything below meters automatically. The Runner binds the
+// tenant's meter to each attempt's fdb.Transaction (Transaction.SetMeter),
+// and the transaction charges it at the one place it counts its own I/O
+// (TxnStats), so no layer above carries a meter:
 //
 //	acct := recordlayer.NewAccountant()
 //	gov := recordlayer.NewGovernor(acct, recordlayer.GovernorOptions{TotalConcurrent: 64})
@@ -215,12 +217,28 @@
 //		// retry
 //	}
 //
+// A tenant is charged for what the cluster does on its behalf, not for what
+// its code consumes:
+//
+//   - every pair a read call makes the cluster read, as ReadRecords and
+//     key+value ReadBytes — including read-ahead batches no cursor consumes,
+//     snapshot reads, and reads in attempts that later abort and retry;
+//   - a point read that finds no key, as 1 row of its key bytes;
+//   - every buffered mutation when it is issued, as WriteRecords and
+//     key+value WriteBytes (so a later overwrite in the same transaction is
+//     charged again); a range clear is 1 row of its begin and end key bytes;
+//   - nothing for reads the transaction's own write buffer serves.
+//
+// For a transaction that touches one tenant, the tenant's Usage therefore
+// equals the transaction's TxnStats: ReadRecords == KeysRead, ReadBytes ==
+// BytesRead, WriteRecords == Mutations and WriteBytes == Size.
+//
 // Two buckets exist per tenant. TxnPerSecond/Burst bounds admissions;
 // BytesPerSecond/ByteBurst bounds the bytes the tenant actually reads and
-// writes — the scan, save, and index layers feed their byte counts through
-// the tenant's Meter into the governor post-hoc, so a transaction can
-// overdraw the bucket into debt and further admissions are rejected until
-// refill clears it. The error's Resource field names the drained bucket.
+// writes — the transaction feeds its byte counts through the tenant's Meter
+// into the governor post-hoc, so a transaction can overdraw the bucket into
+// debt and further admissions are rejected until refill clears it. The
+// error's Resource field names the drained bucket.
 //
 // A tenant over its concurrency ceiling (or a full cluster) waits instead:
 // queued admissions are granted weighted-fairly — lowest in-flight share
@@ -241,7 +259,8 @@
 //
 // Operators read usage with Accountant.Snapshot (see `rl tenants`) or the
 // copy-free ForEach, and a StoreProvider with ProviderOptions.Accountant
-// meters traffic even for requests that bypass the Runner's tenant binding.
+// binds a meter to a transaction that has none, so it meters traffic even
+// for requests that bypass the Runner's tenant binding.
 // The noisy-neighbor experiment (cmd/experiments -run nn; -short is the CI
 // smoke gate) measures the isolation all of this buys.
 //
@@ -401,12 +420,11 @@
 // to re-execute on conflict retry, every GetAsync/GetRangeAsync future must
 // be awaited on all paths, library code must thread the caller's context
 // and injected clock rather than reaching for context.Background or
-// time.Now, reads in the record-store and index layers must flow through
-// the tenant meter, obs recording calls must hide behind a nil check so
+// time.Now, obs recording calls must hide behind a nil check so
 // observability-off costs one pointer compare, and every opt-in to retrying
 // maybe-committed commits must carry a reasoned //rl:idempotent directive.
 // cmd/rl-vet (a stdlib-only go/analysis-style suite in internal/lint) checks
-// all seven invariants over the whole tree in CI; LINTING.md documents each
+// all six invariants over the whole tree in CI; LINTING.md documents each
 // analyzer, its fixture, and the reasoned //lint:allow audit trail.
 //
 // ROADMAP.md holds the project's aims and open items, CHANGES.md the record

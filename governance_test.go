@@ -209,9 +209,9 @@ func TestRunnerRecordsConflicts(t *testing.T) {
 	}
 }
 
-// TestRankTextIndexWritesMetered closes the last unmetered write path
-// (ROADMAP): rank skip-list and text bunched-map maintenance must debit the
-// tenant's accounting like value/atomic/version indexes do, and through the
+// TestRankTextIndexWritesMetered: rank skip-list and text bunched-map
+// maintenance debit the tenant's accounting like value/atomic/version
+// indexes do — exactly what the transactions counted — and, through the
 // accounting, the governor's byte bucket.
 func TestRankTextIndexWritesMetered(t *testing.T) {
 	mkMD := func(extra ...*metadata.Index) *metadata.MetaData {
@@ -235,25 +235,33 @@ func TestRankTextIndexWritesMetered(t *testing.T) {
 	}
 
 	// workload: n saves, one transaction each (so byte-bucket debt can reject
-	// at the next admission).
-	workload := func(r *Runner, p *StoreProvider, md *metadata.MetaData, ctx context.Context, n int) error {
+	// at the next admission). It returns the summed TxnStats of the
+	// transactions.
+	workload := func(r *Runner, p *StoreProvider, md *metadata.MetaData, ctx context.Context, n int) (fdb.TxnStats, error) {
 		doc, _ := md.RecordType("Doc")
+		var total fdb.TxnStats
 		for i := 0; i < n; i++ {
 			rec := message.New(doc.Descriptor).
 				MustSet("id", int64(i)).
 				MustSet("tag", fmt.Sprintf("tag-%03d words here", i))
+			var st fdb.TxnStats
 			if _, err := r.Run(ctx, func(ctx context.Context, tr *fdb.Transaction) (interface{}, error) {
 				store, err := p.Open(ctx, tr, int64(1))
 				if err != nil {
 					return nil, err
 				}
 				_, err = store.SaveRecord(rec)
+				st = tr.Stats()
 				return nil, err
 			}); err != nil {
-				return err
+				return total, err
 			}
+			total.KeysRead += st.KeysRead
+			total.BytesRead += st.BytesRead
+			total.Mutations += st.Mutations
+			total.Size += st.Size
 		}
-		return nil
+		return total, nil
 	}
 
 	measure := func(md *metadata.MetaData) TenantUsage {
@@ -263,10 +271,17 @@ func TestRankTextIndexWritesMetered(t *testing.T) {
 		r := NewRunner(db, RunnerOptions{Accountant: acct})
 		p := testProvider(t, md)
 		ctx := WithTenant(context.Background(), "bytes")
-		if err := workload(r, p, md, ctx, 8); err != nil {
+		st, err := workload(r, p, md, ctx, 8)
+		if err != nil {
 			t.Fatal(err)
 		}
-		return acct.Tenant("bytes").Snapshot()
+		u := acct.Tenant("bytes").Snapshot()
+		if u.ReadRecords != int64(st.KeysRead) || u.ReadBytes != int64(st.BytesRead) ||
+			u.WriteRecords != int64(st.Mutations) || u.WriteBytes != int64(st.Size) {
+			t.Errorf("billed %+v, transactions counted reads %d/%d, writes %d/%d",
+				u, st.KeysRead, st.BytesRead, st.Mutations, st.Size)
+		}
+		return u
 	}
 
 	plain := measure(mkMD())
@@ -290,7 +305,8 @@ func TestRankTextIndexWritesMetered(t *testing.T) {
 		gov.SetLimits("bytes", TenantLimits{BytesPerSecond: 1, ByteBurst: burst})
 		r := NewRunner(db, RunnerOptions{Governor: gov})
 		p := testProvider(t, md)
-		return workload(r, p, md, WithTenant(context.Background(), "bytes"), 8)
+		_, err := workload(r, p, md, WithTenant(context.Background(), "bytes"), 8)
+		return err
 	}
 	if err := runUnder(mkMD()); err != nil {
 		t.Errorf("plain workload under byte bucket: %v", err)

@@ -25,15 +25,9 @@ import (
 // log; symmetrically for the neighbor scan's least key. Only a cleared raw
 // candidate with no dominating logged bunch forces a fresh (and exact,
 // read-your-writes) reread. Ops must be applied in issue order.
-//
-// OnRead, when set, observes each *resolved* boundary read an op actually
-// consumes — the pairs a serial execution would have read at apply time — so
-// callers can meter identically whether ops are batched or serial.
 type Async struct {
-	m  *Map
-	tr *fdb.Transaction
-	// OnRead receives the resolved pairs of each consumed boundary read.
-	OnRead  func(kvs []fdb.KeyValue)
+	m       *Map
+	tr      *fdb.Transaction
 	log     []bunchLog
 	issued  int
 	applied int
@@ -194,18 +188,6 @@ func (op *Op) resolveBoundary(fut *fdb.FutureRange, begin, end []byte, reverse b
 	return resolved{key: again[0].Key, val: again[0].Value, ok: true}, nil
 }
 
-// consume reports one resolved boundary read to the metering hook.
-func (a *Async) consume(r resolved) {
-	if a.OnRead == nil {
-		return
-	}
-	if !r.ok {
-		a.OnRead(nil)
-		return
-	}
-	a.OnRead([]fdb.KeyValue{{Key: r.key, Value: r.val}})
-}
-
 // Apply completes the op. For inserts the boolean result is always true; for
 // deletes it reports whether (token, pk) was present.
 func (op *Op) Apply() (bool, error) {
@@ -227,7 +209,6 @@ func (op *Op) applyInsert() error {
 	if err != nil {
 		return err
 	}
-	a.consume(loc)
 	newEntry := Entry{PK: op.pk, Offsets: op.offsets}
 	if loc.ok {
 		_, entries, err := a.m.decodeBunch(loc.key, loc.val)
@@ -265,7 +246,6 @@ func (op *Op) applySpill(entry Entry, nbrBegin, nbrEnd []byte) error {
 	if err != nil {
 		return err
 	}
-	a.consume(nbr)
 	bunch := []Entry{entry}
 	if nbr.ok {
 		_, nEntries, err := a.m.decodeBunch(nbr.key, nbr.val)
@@ -289,7 +269,6 @@ func (op *Op) applyDelete() (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	a.consume(loc)
 	if !loc.ok {
 		return false, nil
 	}

@@ -64,7 +64,8 @@ func TestSaveRecordsMatchesLoop(t *testing.T) {
 		meter := acct.Tenant("t1")
 		save := func(msgs []*message.Message) {
 			_, err := db.Transact(func(tr *fdb.Transaction) (interface{}, error) {
-				s, err := Open(tr, md, sp, OpenOptions{CreateIfMissing: true, Meter: meter})
+				tr.SetMeter(meter)
+				s, err := Open(tr, md, sp, OpenOptions{CreateIfMissing: true})
 				if err != nil {
 					return nil, err
 				}

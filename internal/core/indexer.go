@@ -193,7 +193,7 @@ func (o *OnlineIndexer) buildBatch(batch int) (int, bool, error) {
 		}
 		ictx := s.indexContext(ix)
 		progressKey := s.space.Pack(tuple.Tuple{progressSub, o.IndexName})
-		cont, err := s.meteredGet(progressKey)
+		cont, err := s.tr.Get(progressKey)
 		if err != nil {
 			return nil, err
 		}

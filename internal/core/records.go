@@ -122,8 +122,8 @@ func (s *Store) saveLoadedAsync(rt *metadata.RecordType, pk tuple.Tuple, msg *me
 // SaveRecords saves a batch of records in order, with every old-record load
 // issued as a concurrent future before any index maintenance runs (§8's
 // asynchronous pipelining on the write path): N loads cost ~1 simulated
-// latency window instead of N. Results, index entries, version assignment and
-// metering are identical to calling SaveRecord in a loop. A primary key
+// latency window instead of N. Results, index entries and version assignment
+// are identical to calling SaveRecord in a loop. A primary key
 // repeated within the batch falls back to a read-your-writes load so the
 // later save observes the earlier one.
 func (s *Store) SaveRecords(msgs []*message.Message) ([]*StoredRecord, error) {
@@ -171,7 +171,7 @@ func (s *Store) SaveRecords(msgs []*message.Message) ([]*StoredRecord, error) {
 	// blocking, so all N records' descents and boundary lookups share one
 	// latency window. Sweep 2: await each record's pendings in issue order,
 	// applying the buffered index mutations. The two sweeps produce the same
-	// keyspace and metering as the save loop: maintainers resolve their reads
+	// keyspace as the save loop: maintainers resolve their reads
 	// against the transaction state as of issue, replaying any batch-internal
 	// writes buffered after them.
 	out := make([]*StoredRecord, len(msgs))
@@ -216,7 +216,7 @@ func (s *Store) InsertRecord(msg *message.Message) (*StoredRecord, error) {
 		return nil, err
 	}
 	b, e := s.recordRange(pk)
-	kvs, _, err := s.meteredGetRange(b, e, fdb.RangeOptions{Limit: 1})
+	kvs, _, err := s.tr.GetRange(b, e, fdb.RangeOptions{Limit: 1})
 	if err != nil {
 		return nil, err
 	}
@@ -343,14 +343,11 @@ func (s *Store) writeRecordData(rec *StoredRecord, hadOld bool) error {
 		return err
 	}
 	rec.Size = len(blob)
-	writtenBytes := 0 // key+value bytes, matching read and index accounting
 	if len(blob) <= s.cfg.SplitChunkSize {
-		key := s.recordKey(rec.PrimaryKey, unsplitRecord)
-		if err := s.tr.Set(key, blob); err != nil {
+		if err := s.tr.Set(s.recordKey(rec.PrimaryKey, unsplitRecord), blob); err != nil {
 			return err
 		}
 		rec.SplitChunks = 1
-		writtenBytes = len(key) + len(blob)
 	} else {
 		if !s.md.SplitLongRecords {
 			return fmt.Errorf("core: record of %d bytes exceeds the chunk size and splitting is disabled", len(blob))
@@ -362,11 +359,9 @@ func (s *Store) writeRecordData(rec *StoredRecord, hadOld bool) error {
 				hi = len(blob)
 			}
 			n++
-			key := s.recordKey(rec.PrimaryKey, n)
-			if err := s.tr.Set(key, blob[off:hi]); err != nil {
+			if err := s.tr.Set(s.recordKey(rec.PrimaryKey, n), blob[off:hi]); err != nil {
 				return err
 			}
-			writtenBytes += len(key) + hi - off
 		}
 		rec.SplitChunks = int(n)
 	}
@@ -385,13 +380,7 @@ func (s *Store) writeRecordData(rec *StoredRecord, hadOld bool) error {
 		if err := s.tr.Atomic(fdb.MutationSetVersionstampedValue, key, val); err != nil {
 			return err
 		}
-		writtenBytes += len(key) + len(val)
 	}
-	rows := rec.SplitChunks
-	if s.md.StoreRecordVersions {
-		rows++ // the version slot
-	}
-	s.meter.RecordWrite(rows, writtenBytes)
 	return nil
 }
 
@@ -420,15 +409,13 @@ type recordLoad struct {
 func (s *Store) issueLoadRecord(pk tuple.Tuple, snapshot bool) recordLoad {
 	b, e := s.recordRange(pk)
 	if snapshot {
-		//lint:allow meteredtxn issue half of an issue/await pair; awaitLoadRecord meters the fetched pairs
 		return recordLoad{pk: pk, fut: s.tr.Snapshot().GetRangeAsync(b, e, fdb.RangeOptions{})}
 	}
-	//lint:allow meteredtxn issue half of an issue/await pair; awaitLoadRecord meters the fetched pairs
 	return recordLoad{pk: pk, fut: s.tr.GetRangeAsync(b, e, fdb.RangeOptions{})}
 }
 
-// awaitLoadRecord completes an issued load: meter, reassemble, decode. Nil
-// when the record is absent.
+// awaitLoadRecord completes an issued load: reassemble, decode. Nil when the
+// record is absent.
 func (s *Store) awaitLoadRecord(l recordLoad) (*StoredRecord, error) {
 	kvs, _, err := l.fut.Get()
 	if err != nil {
@@ -437,20 +424,7 @@ func (s *Store) awaitLoadRecord(l recordLoad) (*StoredRecord, error) {
 	if len(kvs) == 0 {
 		return nil, nil
 	}
-	s.meterReadKVs(kvs)
 	return s.assembleRecord(l.pk, kvs)
-}
-
-// meterReadKVs accounts a batch of fetched pairs to the tenant meter.
-func (s *Store) meterReadKVs(kvs []fdb.KeyValue) {
-	if len(kvs) == 0 {
-		return
-	}
-	nbytes := 0
-	for _, kv := range kvs {
-		nbytes += len(kv.Key) + len(kv.Value)
-	}
-	s.meter.RecordRead(len(kvs), nbytes)
 }
 
 func (s *Store) loadRecordByKey(pk tuple.Tuple, snapshot bool) (*StoredRecord, error) {
@@ -573,21 +547,6 @@ func (s *Store) DeleteRecord(pk tuple.Tuple) (bool, error) {
 	if err := s.tr.ClearRange(b, e); err != nil {
 		return false, err
 	}
-	// Clears meter their key bytes, matching the index maintainers.
-	rows := old.SplitChunks
-	cleared := 0
-	if old.SplitChunks == 1 {
-		cleared = len(s.recordKey(pk, unsplitRecord))
-	} else {
-		for i := int64(1); i <= int64(old.SplitChunks); i++ {
-			cleared += len(s.recordKey(pk, i))
-		}
-	}
-	if old.HasVersion {
-		rows++ // the version slot clears with the range
-		cleared += len(s.recordKey(pk, versionSuffix))
-	}
-	s.meter.RecordWrite(rows, cleared)
 	return true, nil
 }
 
@@ -648,7 +607,6 @@ func (s *Store) ScanRecords(opts ScanOptions) cursor.Cursor[*StoredRecord] {
 	kvs := kvcursor.New(s.tr, begin, end, kvcursor.Options{
 		Reverse:  opts.Reverse,
 		Snapshot: opts.Snapshot,
-		Meter:    s.meter,
 	})
 	return &recordCursor{store: s, kvs: kvs, reverse: opts.Reverse, limiter: opts.Limiter}
 }

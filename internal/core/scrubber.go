@@ -191,7 +191,7 @@ func (o *Scrubber) entryBatch(cont []byte, batch int) (scrubBatch, error) {
 		if len(cont) > 0 {
 			begin = fdb.KeyAfter(cont)
 		}
-		kvs, _, err := s.meteredSnapshotRange(begin, end, fdb.RangeOptions{Limit: batch})
+		kvs, _, err := s.tr.Snapshot().GetRange(begin, end, fdb.RangeOptions{Limit: batch})
 		if err != nil {
 			return nil, err
 		}
@@ -274,7 +274,7 @@ func (o *Scrubber) recordBatch(cont []byte, batch int) (scrubBatch, error) {
 			for _, x := range exp {
 				ek := vm.EntryKey(ispace, x)
 				want := vm.EntryValue(x)
-				kvs, _, err := s.meteredSnapshotRange(ek, fdb.KeyAfter(ek), fdb.RangeOptions{Limit: 1})
+				kvs, _, err := s.tr.Snapshot().GetRange(ek, fdb.KeyAfter(ek), fdb.RangeOptions{Limit: 1})
 				if err != nil {
 					return nil, err
 				}

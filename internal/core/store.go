@@ -9,7 +9,6 @@ import (
 	"recordlayer/internal/index"
 	"recordlayer/internal/metadata"
 	"recordlayer/internal/obs"
-	"recordlayer/internal/resource"
 	"recordlayer/internal/subspace"
 	"recordlayer/internal/tuple"
 )
@@ -79,7 +78,6 @@ type Store struct {
 	md    *metadata.MetaData
 	space subspace.Subspace
 	cfg   Config
-	meter *resource.Meter
 	// trace is the transaction's trace, captured once at open so hot paths
 	// pay one nil check instead of a mutex-guarded lookup per operation.
 	trace *obs.Trace
@@ -100,11 +98,6 @@ type OpenOptions struct {
 	// CreateIfMissing writes a fresh header when the store does not exist.
 	CreateIfMissing bool
 	Config          Config
-	// Meter accounts the store's reads and writes to a tenant (may be nil).
-	// The façade binds it from the request context, so every record load,
-	// save, scan, and index maintenance under this store meters the tenant
-	// without further plumbing.
-	Meter *resource.Meter
 	// StateCache, when set, serves the header and index states of a store
 	// whose state has not changed since the cache read it, so the open
 	// issues no read (see StoreStateCache). Nil reads them on every open.
@@ -130,7 +123,7 @@ func (e *ErrStaleMetaData) Error() string {
 // opts.StateCache with no read at all.
 func Open(tr *fdb.Transaction, md *metadata.MetaData, space subspace.Subspace, opts OpenOptions) (*Store, error) {
 	s := &Store{tr: tr, md: md, space: space, cfg: opts.Config.withDefaults(),
-		meter: opts.Meter, trace: tr.Trace(), maintainers: make(map[string]index.Maintainer)}
+		trace: tr.Trace(), maintainers: make(map[string]index.Maintainer)}
 	cache := opts.StateCache
 	var mv []byte
 	if cache != nil {
@@ -202,6 +195,26 @@ func (s *Store) stateRange() ([]byte, []byte) {
 	return s.space.RangeForTuple(tuple.Tuple{stateSub})
 }
 
+// readStoreState reads the store header and the whole index-state subspace
+// in one round trip — both reads are issued before either is awaited. It
+// returns the raw header (nil when the store does not exist) and the decoded
+// non-readable index states.
+func (s *Store) readStoreState() ([]byte, map[string]metadata.IndexState, error) {
+	begin, end := s.stateRange()
+	header := s.tr.GetAsync(s.headerKey())
+	states := s.tr.GetRangeAsync(begin, end, fdb.RangeOptions{})
+	raw, herr := header.Get()
+	kvs, _, err := states.Get()
+	if herr != nil {
+		return nil, nil, herr
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	st, err := s.decodeIndexStates(kvs)
+	return raw, st, err
+}
+
 // decodeIndexStates parses the index-state subspace's pairs.
 func (s *Store) decodeIndexStates(kvs []fdb.KeyValue) (map[string]metadata.IndexState, error) {
 	if len(kvs) == 0 {
@@ -244,9 +257,6 @@ func (s *Store) SetUserVersion(v int) error {
 
 // MetaData returns the schema the store was opened with.
 func (s *Store) MetaData() *metadata.MetaData { return s.md }
-
-// Meter returns the tenant meter bound at open time (may be nil).
-func (s *Store) Meter() *resource.Meter { return s.meter }
 
 // Subspace returns the store's subspace.
 func (s *Store) Subspace() subspace.Subspace { return s.space }
@@ -306,7 +316,7 @@ func (s *Store) applyMetaDataChanges() error {
 // countRecordsUpTo counts primary record pairs, stopping at limit.
 func (s *Store) countRecordsUpTo(limit int) (int, error) {
 	begin, end := s.space.RangeForTuple(tuple.Tuple{recordsSub})
-	kvs, _, err := s.meteredSnapshotRange(begin, end, fdb.RangeOptions{Limit: limit})
+	kvs, _, err := s.tr.Snapshot().GetRange(begin, end, fdb.RangeOptions{Limit: limit})
 	if err != nil {
 		return 0, err
 	}
@@ -414,7 +424,6 @@ func (s *Store) indexContext(ix *metadata.Index) *index.Context {
 		Index:    ix,
 		Space:    s.indexSpace(ix.Name),
 		MetaData: s.md,
-		Meter:    s.meter,
 		NextUserVersion: func() uint16 {
 			v := s.userVersion
 			s.userVersion++

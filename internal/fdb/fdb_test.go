@@ -604,6 +604,65 @@ func TestStatsAccounting(t *testing.T) {
 	}
 }
 
+// callMeter is a Meter that logs each charge and reads the transaction's
+// stats from inside it, which deadlocks if the meter runs under t.mu.
+type callMeter struct {
+	tr    *Transaction
+	calls []string
+}
+
+func (m *callMeter) RecordRead(rows, n int) {
+	m.tr.Stats()
+	m.calls = append(m.calls, fmt.Sprintf("read %d/%d", rows, n))
+}
+
+func (m *callMeter) RecordWrite(rows, n int) {
+	m.tr.Stats()
+	m.calls = append(m.calls, fmt.Sprintf("write %d/%d", rows, n))
+}
+
+// TestMeterCharges pins what a bound meter is charged for, one charge per
+// read call or mutation, outside the transaction's lock.
+func TestMeterCharges(t *testing.T) {
+	db := Open(nil)
+	seed := db.CreateTransaction()
+	mustSet(t, seed, "a1", "xy")
+	mustSet(t, seed, "a2", "z")
+	mustCommit(t, seed)
+
+	tr := db.CreateTransaction()
+	m := &callMeter{tr: tr}
+	tr.SetMeter(m)
+	if tr.Meter() != m {
+		t.Fatal("Meter did not return the bound meter")
+	}
+	mustGet(t, tr, "zz") // missed point read: 1 row of key bytes
+	if _, _, err := tr.Snapshot().GetRange([]byte("a"), []byte("b"), RangeOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	mustSet(t, tr, "b", "12")
+	mustGet(t, tr, "b") // served by the write buffer: free
+	if err := tr.ClearRange([]byte("c"), []byte("d")); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Atomic(MutationAdd, []byte("n"), []byte{1}); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"read 1/2", "read 2/7", "write 1/3", "write 1/2", "write 1/2"}
+	if fmt.Sprint(m.calls) != fmt.Sprint(want) {
+		t.Fatalf("charges %v, want %v", m.calls, want)
+	}
+	st := tr.Stats()
+	if st.KeysRead != 3 || st.BytesRead != 9 || st.Mutations != 3 || st.Size != 7 {
+		t.Fatalf("stats %+v disagree with the charges", st)
+	}
+	tr.SetMeter(nil)
+	mustGet(t, tr, "a1")
+	if len(m.calls) != len(want) {
+		t.Fatalf("unbound meter still charged: %v", m.calls)
+	}
+}
+
 func TestConcurrentTransactions(t *testing.T) {
 	db := Open(nil)
 	var wg sync.WaitGroup

@@ -36,7 +36,7 @@ func (t *Transaction) MetadataVersion() ([]byte, error) {
 		t.countRead(MetadataVersionKey, val)
 		ready = t.issueLocked(len(MetadataVersionKey) + len(val))
 	}
-	t.mu.Unlock()
+	t.unlockAndCharge()
 	t.awaitRead(ready)
 	return val, nil
 }

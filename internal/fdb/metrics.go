@@ -97,9 +97,8 @@ type TxnStats struct {
 	RangeClears  int
 	Size         int // FDB accounting: mutation bytes + conflict range bytes
 	// Mutations counts buffered write operations (sets, atomics, clears) as
-	// they are issued, before commit. Layers that cannot observe a
-	// substrate's individual writes (rank skip lists, bunched text maps)
-	// meter them from a before/after delta of Mutations and Size.
+	// they are issued, before commit; a range clear is one. With Size it is
+	// what a bound Meter is charged for writes (Transaction.SetMeter).
 	Mutations int
 
 	// SimWaitNanos is the time this transaction spent awaiting simulated

@@ -125,6 +125,12 @@ type txnState struct {
 	// per site.
 	trace *obs.Trace
 
+	// meter, when set, is charged for every read and buffered mutation.
+	// owed collects what the current call counted; unlockAndCharge hands it
+	// to the meter once t.mu is released.
+	meter Meter
+	owed  charge
+
 	stats     TxnStats
 	committed bool
 	canceled  bool
@@ -132,6 +138,39 @@ type txnState struct {
 
 	// options
 	snapshotDefault bool
+}
+
+// Meter receives the I/O a transaction performs on a tenant's behalf. It is
+// declared here, not in the resource package that implements it, because
+// resource depends on fdb.
+type Meter interface {
+	RecordRead(rows, bytes int)
+	RecordWrite(rows, bytes int)
+}
+
+// charge is the I/O one call counted into TxnStats: reads as in KeysRead and
+// BytesRead, mutations as in Mutations and Size.
+type charge struct {
+	readRows, readBytes   int
+	writeRows, writeBytes int
+}
+
+// unlockAndCharge releases t.mu and then charges the bound meter for what
+// the call counted while holding it. The meter runs outside the lock because
+// it may call back into the caller's code (a governor's byte quota).
+func (t *Transaction) unlockAndCharge() {
+	m, c := t.meter, t.owed
+	t.owed = charge{}
+	t.mu.Unlock()
+	if m == nil {
+		return
+	}
+	if c.readRows > 0 {
+		m.RecordRead(c.readRows, c.readBytes)
+	}
+	if c.writeRows > 0 {
+		m.RecordWrite(c.writeRows, c.writeBytes)
+	}
 }
 
 func (d *Database) nowNanos() int64 { return d.opts.Clock().UnixNano() }
@@ -252,7 +291,7 @@ func (t *Transaction) syncGet(key []byte, snapshot bool) ([]byte, error) {
 	if err == nil {
 		ready = t.issueLocked(len(key) + len(val))
 	}
-	t.mu.Unlock()
+	t.unlockAndCharge()
 	t.awaitRead(ready)
 	return val, err
 }
@@ -265,7 +304,7 @@ func (t *Transaction) GetAsync(key []byte) *FutureValue { return t.getAsync(key,
 
 func (t *Transaction) getAsync(key []byte, snapshot bool) *FutureValue {
 	t.mu.Lock()
-	defer t.mu.Unlock()
+	defer t.unlockAndCharge()
 	f := &FutureValue{fut: fut{t: t}}
 	f.value, f.err = t.getLocked(key, snapshot)
 	if f.err == nil {
@@ -387,11 +426,17 @@ func (t *Transaction) getLocked(key []byte, snapshot bool) ([]byte, error) {
 	return cloneBytes(val), nil
 }
 
+// countRead accounts one pair the cluster read: a missed point read counts
+// as one pair of key bytes. Caller holds t.mu and releases it with
+// unlockAndCharge.
 func (t *Transaction) countRead(key, val []byte) {
+	n := len(key) + len(val)
 	t.stats.KeysRead++
-	t.stats.BytesRead += len(key) + len(val)
+	t.stats.BytesRead += n
+	t.owed.readRows++
+	t.owed.readBytes += n
 	t.db.metrics.KeysRead.Add(1)
-	t.db.metrics.BytesRead.Add(int64(len(key) + len(val)))
+	t.db.metrics.BytesRead.Add(int64(n))
 }
 
 // GetRange returns key-value pairs in [begin, end), honoring limits. The
@@ -409,7 +454,7 @@ func (t *Transaction) syncGetRange(begin, end []byte, o RangeOptions, snapshot b
 	if err == nil {
 		ready = t.issueLocked(nbytes)
 	}
-	t.mu.Unlock()
+	t.unlockAndCharge()
 	t.awaitRead(ready)
 	return kvs, more, err
 }
@@ -425,7 +470,7 @@ func (t *Transaction) GetRangeAsync(begin, end []byte, o RangeOptions) *FutureRa
 
 func (t *Transaction) getRangeAsync(begin, end []byte, o RangeOptions, snapshot bool) *FutureRange {
 	t.mu.Lock()
-	defer t.mu.Unlock()
+	defer t.unlockAndCharge()
 	f := &FutureRange{fut: fut{t: t}}
 	var nbytes int
 	f.kvs, f.more, nbytes, f.err = t.getRangeLocked(begin, end, o, snapshot)
@@ -605,7 +650,7 @@ func (t *Transaction) bufferedKeysIn(begin, end []byte, reverse bool) []string {
 // Set buffers a key-value write.
 func (t *Transaction) Set(key, value []byte) error {
 	t.mu.Lock()
-	defer t.mu.Unlock()
+	defer t.unlockAndCharge()
 	if err := t.checkWrite(key, value); err != nil {
 		return err
 	}
@@ -637,15 +682,19 @@ func (t *Transaction) setEntry(key []byte, e *bufEntry) {
 	delete(t.vsValueOffsets, ks)
 }
 
+// accountWrite accounts one buffered mutation of n bytes. Caller holds t.mu
+// and releases it with unlockAndCharge.
 func (t *Transaction) accountWrite(n int) {
 	t.stats.Size += n
 	t.stats.Mutations++
+	t.owed.writeRows++
+	t.owed.writeBytes += n
 }
 
 // Clear buffers the removal of a single key.
 func (t *Transaction) Clear(key []byte) error {
 	t.mu.Lock()
-	defer t.mu.Unlock()
+	defer t.unlockAndCharge()
 	return t.clearRange(key, keyAfter(key))
 }
 
@@ -654,7 +703,7 @@ func (t *Transaction) Clear(key []byte) error {
 // makes dropping a whole index or record store inexpensive (§6).
 func (t *Transaction) ClearRange(begin, end []byte) error {
 	t.mu.Lock()
-	defer t.mu.Unlock()
+	defer t.unlockAndCharge()
 	return t.clearRange(begin, end)
 }
 
@@ -683,7 +732,7 @@ func (t *Transaction) clearRange(begin, end []byte) error {
 // final bytes, as produced by tuple.Tuple.PackWithVersionstamp.
 func (t *Transaction) Atomic(typ MutationType, key, param []byte) error {
 	t.mu.Lock()
-	defer t.mu.Unlock()
+	defer t.unlockAndCharge()
 	if err := t.checkUsable(); err != nil {
 		return err
 	}
@@ -982,6 +1031,25 @@ func (t *Transaction) Trace() *obs.Trace {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.trace
+}
+
+// SetMeter binds the tenant meter that is charged for this transaction's
+// I/O: every pair a read call makes the cluster read (snapshot and
+// read-ahead reads included; reads the write buffer serves are free) and
+// every buffered mutation as it is issued, from the same counts as
+// TxnStats.KeysRead/BytesRead and Mutations/Size. The Runner binds the
+// request tenant's meter to each attempt; nil unbinds.
+func (t *Transaction) SetMeter(m Meter) {
+	t.mu.Lock()
+	t.meter = m
+	t.mu.Unlock()
+}
+
+// Meter returns the bound tenant meter, or nil.
+func (t *Transaction) Meter() Meter {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.meter
 }
 
 // LatencyNow reads the database's latency clock (the virtual clock under

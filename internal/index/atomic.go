@@ -82,7 +82,7 @@ func (m *AtomicMaintainer) update(ctx *Context, old, new *Record) error {
 			return nil
 		}
 		for _, g := range groupKeys(m.grouping, newEntries) {
-			if err := ctx.meteredAtomic(fdb.MutationAdd, ctx.Space.Pack(g), littleEndianInt64(1)); err != nil {
+			if err := ctx.Tr.Atomic(fdb.MutationAdd, ctx.Space.Pack(g), littleEndianInt64(1)); err != nil {
 				return err
 			}
 		}
@@ -115,7 +115,7 @@ func (m *AtomicMaintainer) update(ctx *Context, old, new *Record) error {
 			if len(v) != 1 || v[0] == nil {
 				continue
 			}
-			if err := ctx.meteredAtomic(mut, ctx.Space.Pack(g), v.Pack()); err != nil {
+			if err := ctx.Tr.Atomic(mut, ctx.Space.Pack(g), v.Pack()); err != nil {
 				return err
 			}
 		}
@@ -145,12 +145,12 @@ func (m *AtomicMaintainer) applyGroupDelta(ctx *Context, oldEntries, newEntries 
 	newG := groupKeys(m.grouping, newEntries)
 	removed, added := diffEntries(oldG, newG)
 	for _, g := range removed {
-		if err := ctx.meteredAtomic(fdb.MutationAdd, ctx.Space.Pack(g), littleEndianInt64(-1)); err != nil {
+		if err := ctx.Tr.Atomic(fdb.MutationAdd, ctx.Space.Pack(g), littleEndianInt64(-1)); err != nil {
 			return err
 		}
 	}
 	for _, g := range added {
-		if err := ctx.meteredAtomic(fdb.MutationAdd, ctx.Space.Pack(g), littleEndianInt64(1)); err != nil {
+		if err := ctx.Tr.Atomic(fdb.MutationAdd, ctx.Space.Pack(g), littleEndianInt64(1)); err != nil {
 			return err
 		}
 	}
@@ -165,7 +165,7 @@ func (m *AtomicMaintainer) applyCounted(ctx *Context, oldEntries, newEntries []t
 	for _, e := range removed {
 		g, v := m.grouping.Split(e)
 		if n, ok := contribution(v); ok && n != 0 {
-			if err := ctx.meteredAtomic(fdb.MutationAdd, ctx.Space.Pack(g), littleEndianInt64(-n)); err != nil {
+			if err := ctx.Tr.Atomic(fdb.MutationAdd, ctx.Space.Pack(g), littleEndianInt64(-n)); err != nil {
 				return err
 			}
 		}
@@ -173,7 +173,7 @@ func (m *AtomicMaintainer) applyCounted(ctx *Context, oldEntries, newEntries []t
 	for _, e := range added {
 		g, v := m.grouping.Split(e)
 		if n, ok := contribution(v); ok && n != 0 {
-			if err := ctx.meteredAtomic(fdb.MutationAdd, ctx.Space.Pack(g), littleEndianInt64(n)); err != nil {
+			if err := ctx.Tr.Atomic(fdb.MutationAdd, ctx.Space.Pack(g), littleEndianInt64(n)); err != nil {
 				return err
 			}
 		}
@@ -183,7 +183,7 @@ func (m *AtomicMaintainer) applyCounted(ctx *Context, oldEntries, newEntries []t
 
 // GetInt64 reads an integer aggregate (COUNT, SUM, ...) for a group key.
 func (m *AtomicMaintainer) GetInt64(ctx *Context, group tuple.Tuple) (int64, error) {
-	raw, err := ctx.meteredGet(ctx.Space.Pack(group))
+	raw, err := ctx.Tr.Get(ctx.Space.Pack(group))
 	if err != nil {
 		return 0, err
 	}
@@ -196,7 +196,7 @@ func (m *AtomicMaintainer) GetInt64(ctx *Context, group tuple.Tuple) (int64, err
 // GetTuple reads a MAX_EVER/MIN_EVER aggregate for a group key; ok=false
 // when no value was ever written.
 func (m *AtomicMaintainer) GetTuple(ctx *Context, group tuple.Tuple) (tuple.Tuple, bool, error) {
-	raw, err := ctx.meteredGet(ctx.Space.Pack(group))
+	raw, err := ctx.Tr.Get(ctx.Space.Pack(group))
 	if err != nil || raw == nil {
 		return nil, false, err
 	}

@@ -57,17 +57,14 @@ func member(entry, pk tuple.Tuple) []byte {
 }
 
 // asyncFor returns the transaction's pipelining overlay, initializing the
-// skip-list heads on first use. The head probes are issued together (one
-// window per transaction, not per record) and the head writes are metered
-// here, since the apply-phase delta below won't see them.
+// skip-list heads on first use. The head probes are issued together: one
+// window per transaction, not per record.
 func (m *RankMaintainer) asyncFor(ctx *Context) (*rankedset.Async, error) {
 	if m.asyncTr != ctx.Tr {
 		rs := m.set(ctx.Space)
-		before := ctx.Tr.Stats()
 		if err := rs.Init(ctx.Tr); err != nil {
 			return nil, err
 		}
-		ctx.meterWriteDelta(before)
 		m.async = rs.Async(ctx.Tr)
 		m.asyncTr = ctx.Tr
 	}
@@ -121,11 +118,6 @@ func (m *RankMaintainer) UpdateAsync(ctx *Context, old, new *Record) (Pending, e
 		if err := vp.Await(); err != nil {
 			return err
 		}
-		// The skip list issues its own sets/atomics/clears; meter them from
-		// the transaction's mutation delta so rank maintenance debits the
-		// tenant like every other write path.
-		before := ctx.Tr.Stats()
-		defer ctx.meterWriteDelta(before)
 		for _, op := range ops {
 			if _, err := op.Apply(); err != nil {
 				return err

@@ -140,16 +140,11 @@ func (m *ValueMaintainer) UpdateAsync(ctx *Context, old, new *Record) (Pending, 
 		return nil, err
 	}
 	removed, added := diffEntries(oldEntries, newEntries)
-	written := 0
-	writtenBytes := 0
 	for _, t := range removed {
 		key, _ := m.splitEntry(t)
-		ek := m.entryKey(ctx.Space, key, old.PrimaryKey)
-		if err := ctx.Tr.Clear(ek); err != nil {
+		if err := ctx.Tr.Clear(m.entryKey(ctx.Space, key, old.PrimaryKey)); err != nil {
 			return nil, err
 		}
-		written++
-		writtenBytes += len(ek)
 	}
 	var probes []*fdb.FutureRange
 	if m.ix.Unique && len(added) > 0 {
@@ -161,7 +156,7 @@ func (m *ValueMaintainer) UpdateAsync(ctx *Context, old, new *Record) (Pending, 
 		for i, t := range added {
 			key, _ := m.splitEntry(t)
 			begin, end := ctx.Space.RangeForTuple(key)
-			probes[i] = ctx.issueRangeAsync(begin, end, fdb.RangeOptions{Limit: 2})
+			probes[i] = ctx.Tr.GetRangeAsync(begin, end, fdb.RangeOptions{Limit: 2})
 		}
 	}
 	for _, t := range added {
@@ -174,11 +169,6 @@ func (m *ValueMaintainer) UpdateAsync(ctx *Context, old, new *Record) (Pending, 
 		if err := ctx.Tr.Set(ek, packed); err != nil {
 			return nil, err
 		}
-		written++
-		writtenBytes += len(ek) + len(packed)
-	}
-	if written > 0 {
-		ctx.Meter.RecordWrite(written, writtenBytes)
 	}
 	if probes == nil {
 		return Done, nil
@@ -198,7 +188,6 @@ func (m *ValueMaintainer) verifyUnique(ctx *Context, added []tuple.Tuple, probes
 		if err != nil {
 			return err
 		}
-		ctx.meterRangeKVs(kvs)
 		for _, kv := range kvs {
 			e, err := m.DecodeEntry(ctx.Space, kv)
 			if err != nil {
@@ -254,7 +243,6 @@ func (m *ValueMaintainer) Scan(ctx *Context, r TupleRange, opts ScanOptions) (cu
 		Limiter:      opts.Limiter,
 		Continuation: opts.Continuation,
 		Snapshot:     opts.Snapshot,
-		Meter:        ctx.Meter,
 	})
 	space := ctx.Space
 	return cursor.Map(kvs, func(kv fdb.KeyValue) (Entry, error) {

@@ -69,7 +69,6 @@ func (m *VersionMaintainer) update(ctx *Context, old, new *Record) error {
 		if err := ctx.Tr.Clear(key); err != nil {
 			return err
 		}
-		ctx.Meter.RecordWrite(1, len(key))
 	}
 	newEntries, err := entriesFor(ctx.Index, new)
 	if err != nil {
@@ -82,7 +81,6 @@ func (m *VersionMaintainer) update(ctx *Context, old, new *Record) error {
 			if err := ctx.Tr.Set(key, nil); err != nil {
 				return err
 			}
-			ctx.Meter.RecordWrite(1, len(key))
 			continue
 		}
 		// The incomplete stamp already carries the record's per-transaction
@@ -91,7 +89,7 @@ func (m *VersionMaintainer) update(ctx *Context, old, new *Record) error {
 		if err != nil {
 			return err
 		}
-		if err := ctx.meteredAtomic(fdb.MutationSetVersionstampedKey, key, nil); err != nil {
+		if err := ctx.Tr.Atomic(fdb.MutationSetVersionstampedKey, key, nil); err != nil {
 			return err
 		}
 	}
@@ -121,7 +119,6 @@ func (m *VersionMaintainer) Scan(ctx *Context, r TupleRange, opts ScanOptions) (
 		Limiter:      opts.Limiter,
 		Continuation: opts.Continuation,
 		Snapshot:     opts.Snapshot,
-		Meter:        ctx.Meter,
 	})
 	space := ctx.Space
 	return cursor.Map(kvs, func(kv fdb.KeyValue) (Entry, error) {

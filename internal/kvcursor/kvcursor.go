@@ -9,7 +9,6 @@ import (
 
 	"recordlayer/internal/cursor"
 	"recordlayer/internal/fdb"
-	"recordlayer/internal/resource"
 )
 
 // Options controls a range scan.
@@ -20,11 +19,6 @@ type Options struct {
 	Snapshot bool
 	// Limiter enforces out-of-band resource limits (may be nil).
 	Limiter *cursor.Limiter
-	// Meter accounts scanned pairs and bytes to a tenant (may be nil). When
-	// a Governor enforces a byte quota for the tenant, the bytes recorded
-	// here also debit its byte bucket post-hoc via the meter's sink — the
-	// scan stays parameter-free.
-	Meter *resource.Meter
 	// Continuation resumes after a previously returned key.
 	Continuation []byte
 	// BatchSize bounds the first underlying GetRange (default 128). Later
@@ -47,9 +41,9 @@ type Options struct {
 	// (futures resolve at issue; sequential scans already miss writes
 	// landing inside their buffered batch, so same-range RYW mid-scan has
 	// always been batch-granular). Read-ahead also makes the footprint
-	// eager: the prefetched batch is read (conflict-ranged and counted in
-	// TxnStats) even if the consumer halts inside the current one, though
-	// prefetched-but-unconsumed batches are never metered to the tenant.
+	// eager: the prefetched batch is read (conflict-ranged, counted in
+	// TxnStats and charged to the transaction's meter) even if the consumer
+	// halts inside the current one.
 	noReadAhead bool
 }
 
@@ -121,16 +115,6 @@ func (c *kvCursor) fill() error {
 	}
 	if err != nil {
 		return err
-	}
-	// Meter per fetched batch, not per delivered pair: one atomic update per
-	// ~BatchSize pairs, and the count reflects what was actually read from
-	// the store even if the consumer stops early.
-	if c.opts.Meter != nil && len(kvs) > 0 {
-		nbytes := 0
-		for _, kv := range kvs {
-			nbytes += len(kv.Key) + len(kv.Value)
-		}
-		c.opts.Meter.RecordRead(len(kvs), nbytes)
 	}
 	c.buf, c.bufPos, c.more, c.started = kvs, 0, more, true
 	if len(kvs) > 0 {

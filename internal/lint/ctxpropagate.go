@@ -8,8 +8,8 @@ import (
 // CtxPropagate forbids context.Background() and context.TODO() in library
 // code: the root recordlayer package and everything under internal/. A fresh
 // root context severs everything that rides the caller's context — the
-// tenant identity and Meter (metering silently stops), the obs.Trace (spans
-// vanish mid-transaction), priority classes, and cancellation. Entry points
+// tenant identity (the Runner binds no meter), the obs.Trace (spans vanish
+// mid-transaction), priority classes, and cancellation. Entry points
 // (cmd/, examples/) own their root context and are exempt.
 var CtxPropagate = &Analyzer{
 	Name: "ctxpropagate",

@@ -1,11 +1,10 @@
 // Package lint is rl-vet's analysis framework: a self-contained,
 // standard-library-only analogue of golang.org/x/tools/go/analysis, plus the
-// seven analyzers that mechanically enforce this repository's cross-cutting
+// six analyzers that mechanically enforce this repository's cross-cutting
 // invariants (see LINTING.md). The conventions the analyzers encode were
 // established one PR at a time — retry-idempotent Runner closures, reasoned
 // maybe-committed retries, awaited futures, threaded contexts, injected
-// clocks, metered reads, nil-guarded
-// observability — and each is exactly the kind of rule the FDB
+// clocks, nil-guarded observability — and each is exactly the kind of rule the FDB
 // simulation-testing lineage argues should be checked by a machine, not a
 // reviewer.
 //
@@ -184,7 +183,6 @@ func Analyzers() []*Analyzer {
 		FutureAwait,
 		CtxPropagate,
 		ClockInject,
-		MeteredTxn,
 		ObsGuard,
 	}
 }

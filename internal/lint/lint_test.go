@@ -22,7 +22,6 @@ func TestIdempotent(t *testing.T)   { run(t, lint.Idempotent, "recordlayer/inter
 func TestFutureAwait(t *testing.T)  { run(t, lint.FutureAwait, "recordlayer/internal/lintfixture") }
 func TestCtxPropagate(t *testing.T) { run(t, lint.CtxPropagate, "recordlayer/internal/lintfixture") }
 func TestClockInject(t *testing.T)  { run(t, lint.ClockInject, "recordlayer/internal/workload") }
-func TestMeteredTxn(t *testing.T)   { run(t, lint.MeteredTxn, "recordlayer/internal/core") }
 func TestObsGuard(t *testing.T)     { run(t, lint.ObsGuard, "recordlayer/internal/lintfixture") }
 
 // TestPathScoping: the path-scoped analyzers stay silent outside their
@@ -36,7 +35,6 @@ func TestPathScoping(t *testing.T) {
 	}{
 		{lint.CtxPropagate, "recordlayer/cmd/demo"},
 		{lint.ClockInject, "recordlayer/internal/message"},
-		{lint.MeteredTxn, "recordlayer/internal/workload"},
 	}
 	for _, c := range cases {
 		t.Run(c.analyzer.Name, func(t *testing.T) {

@@ -10,9 +10,8 @@
 // *between* tenants — a single hot tenant starves everyone. This package is
 // the arbitration layer: the façade binds a tenant identity to the request
 // context (WithTenant), the Runner acquires admission and records latency and
-// conflicts, and the read/write hot paths (kvcursor scans, record save/load,
-// index maintenance) report rows and bytes into the tenant's Meter, which
-// rides the context so deep layers need no new parameters.
+// conflicts, and binds the tenant's Meter to each transaction, which charges
+// it for every pair read and every mutation buffered (fdb.Meter).
 //
 // Everything here is safe for concurrent use and nil-tolerant: a nil *Meter
 // accepts (and discards) all recordings, so call sites never branch on
@@ -30,11 +29,13 @@ import (
 type Usage struct {
 	Tenant string
 	// ReadRecords and ReadBytes count key-value pairs (and their key+value
-	// bytes) read on the tenant's behalf — scans, record loads, index reads.
+	// bytes) the cluster read on the tenant's behalf, as fdb.TxnStats
+	// KeysRead and BytesRead count them.
 	ReadRecords int64
 	ReadBytes   int64
-	// WriteRecords and WriteBytes count pairs written or cleared — record
-	// chunks, version slots, index entries, atomic mutations.
+	// WriteRecords and WriteBytes count buffered mutations and their bytes —
+	// sets, atomic mutations and clears (a range clear is one) — as
+	// fdb.TxnStats Mutations and Size count them.
 	WriteRecords int64
 	WriteBytes   int64
 	// Transactions counts successful Runner executions; TxnTime is their

@@ -120,6 +120,13 @@ type ChaosStats struct {
 	// Scrubber audit of the by_zone index after the storm.
 	ScrubEntries, ScrubRecords, ScrubIssues int
 
+	// Metering audit over the storm: what the chaos tenant was billed for
+	// reads, and what the cluster actually read (the db.Metrics delta). Every
+	// storm transaction is the tenant's, so the two must be equal — faults,
+	// retries and aborted attempts included.
+	MeteredReads, MeteredReadBytes int64
+	ClusterReads, ClusterReadBytes int64
+
 	// Fault schedule actually dealt.
 	Faults fdb.FaultCounts
 	// RetriesByCause merges the per-cause retry counters of every runner the
@@ -171,6 +178,14 @@ func (s ChaosStats) Check() error {
 	if s.ScrubIssues > 0 {
 		problems = append(problems, fmt.Sprintf(
 			"index scrub found %d inconsistencies after the storm", s.ScrubIssues))
+	}
+	if s.ClusterReads == 0 {
+		problems = append(problems, "the storm read nothing; the metering audit was untested")
+	}
+	if s.MeteredReads != s.ClusterReads || s.MeteredReadBytes != s.ClusterReadBytes {
+		problems = append(problems, fmt.Sprintf(
+			"tenant billed %d reads/%d bytes, cluster read %d/%d: metered I/O != I/O performed",
+			s.MeteredReads, s.MeteredReadBytes, s.ClusterReads, s.ClusterReadBytes))
 	}
 	if s.LeaseRefreshFailures == 0 {
 		problems = append(problems, "no lease heartbeat failed; the decay path was untested")
@@ -241,8 +256,9 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (ChaosStats, error) {
 	// Cohort A writes get one attempt: retryable failures surface, so the
 	// run accumulates writes with a hard "nothing applied" guarantee — the
 	// ghost set the audit checks.
-	strict := recordlayer.NewRunner(db, recordlayer.RunnerOptions{MaxAttempts: 1, Sleep: instant})
-	runner := recordlayer.NewRunner(db, recordlayer.RunnerOptions{Sleep: instant})
+	acct := recordlayer.NewAccountant()
+	strict := recordlayer.NewRunner(db, recordlayer.RunnerOptions{MaxAttempts: 1, Sleep: instant, Accountant: acct})
+	runner := recordlayer.NewRunner(db, recordlayer.RunnerOptions{Sleep: instant, Accountant: acct})
 
 	// Pre-create the store before the storm so directory allocation is not
 	// subject to injected faults.
@@ -256,13 +272,16 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (ChaosStats, error) {
 	inj.Enable()
 
 	// The storm: three interleaved cohorts plus periodic zone queries, one
-	// goroutine, every payload generated outside the closures.
+	// goroutine, every payload generated outside the closures. Each runs as
+	// the chaos tenant, so the Runners meter it.
+	storm := recordlayer.WithTenant(ctx, chaosTenant)
+	billed0, io0 := acct.Tenant(chaosTenant).Snapshot(), db.Metrics().Snapshot()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	acked := map[int64]string{}     // id -> expected body, write acknowledged
 	unknown := map[int64]string{}   // id -> expected body, fate ambiguous
 	cleanFailed := map[int64]bool{} // id -> true, guaranteed not applied
 	save := func(r *recordlayer.Runner, rec *message.Message) error {
-		_, err := r.Run(ctx, func(ctx context.Context, tr *fdb.Transaction) (interface{}, error) {
+		_, err := r.Run(storm, func(ctx context.Context, tr *fdb.Transaction) (interface{}, error) {
 			store, err := provider.Open(ctx, tr, chaosTenant)
 			if err != nil {
 				return nil, err
@@ -295,7 +314,7 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (ChaosStats, error) {
 		case 1: // Cohort B: retried as idempotent — ambiguity is retried through.
 			rec := message.New(note).MustSet("id", id).MustSet("zone", zone).MustSet("body", body)
 			//rl:idempotent re-saving the same pre-generated record converges to the same stored state
-			_, err := runner.RunIdempotent(ctx, func(ctx context.Context, tr *fdb.Transaction) (interface{}, error) {
+			_, err := runner.RunIdempotent(storm, func(ctx context.Context, tr *fdb.Transaction) (interface{}, error) {
 				store, err := provider.Open(ctx, tr, chaosTenant)
 				if err != nil {
 					return nil, err
@@ -333,9 +352,9 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (ChaosStats, error) {
 			var err error
 			if cfg.MisdeclareIncrements {
 				//rl:idempotent deliberate misdeclaration — the self-test knob that must make Check fail by double-applying increments
-				_, err = runner.RunIdempotent(ctx, inc)
+				_, err = runner.RunIdempotent(storm, inc)
 			} else {
-				_, err = runner.Run(ctx, inc)
+				_, err = runner.Run(storm, inc)
 			}
 			switch {
 			case err == nil:
@@ -352,7 +371,7 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (ChaosStats, error) {
 			RecordTypes: []string{"Note"},
 			Filter:      query.Field("zone").Equals(zone),
 		}
-		rows, err := runner.ReadRun(ctx, func(ctx context.Context, tr *fdb.Transaction) (interface{}, error) {
+		rows, err := runner.ReadRun(storm, func(ctx context.Context, tr *fdb.Transaction) (interface{}, error) {
 			store, err := provider.Open(ctx, tr, chaosTenant)
 			if err != nil {
 				return nil, err
@@ -375,6 +394,10 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (ChaosStats, error) {
 		}
 		stats.RowsRead += rows.(int)
 	}
+	billed, read := acct.Tenant(chaosTenant).Snapshot(), db.Metrics().Snapshot().Delta(io0)
+	stats.MeteredReads = billed.ReadRecords - billed0.ReadRecords
+	stats.MeteredReadBytes = billed.ReadBytes - billed0.ReadBytes
+	stats.ClusterReads, stats.ClusterReadBytes = read.KeysRead, read.BytesRead
 	stats.Acked = len(acked)
 	stats.Unknown = len(unknown)
 	stats.CleanFailed = len(cleanFailed)

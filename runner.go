@@ -46,9 +46,9 @@ type RunnerOptions struct {
 	// admission control.
 	Governor *resource.Governor
 	// Accountant meters per-tenant usage for tenant-bound contexts: the
-	// runner records transaction latency and conflicts, and attaches the
-	// tenant's meter to the context so the store layers below account reads
-	// and writes automatically. Nil falls back to the Governor's accountant;
+	// runner records transaction latency and conflicts, and binds the
+	// tenant's meter to every attempt's transaction, which charges it for
+	// each read and write it performs. Nil falls back to the Governor's accountant;
 	// if both are nil, metering is off.
 	Accountant *resource.Accountant
 	// RetryMaybeCommitted declares that every closure passed to this runner
@@ -316,7 +316,6 @@ func (r *Runner) run(ctx context.Context, fn TransactFunc, commit, idempotent bo
 	if tenant, ok := resource.TenantFrom(ctx); ok {
 		if r.opts.Accountant != nil {
 			meter = r.opts.Accountant.Tenant(tenant)
-			ctx = resource.WithMeter(ctx, meter)
 		}
 		if r.opts.Governor != nil {
 			// One admission covers the whole retry loop: a retried attempt
@@ -353,6 +352,9 @@ func (r *Runner) run(ctx context.Context, fn TransactFunc, commit, idempotent bo
 			return nil, err
 		}
 		tr := r.db.CreateTransaction()
+		if meter != nil {
+			tr.SetMeter(meter)
+		}
 		var a0 int64
 		if trace != nil {
 			tr.SetTrace(trace)

@@ -35,10 +35,10 @@ type ProviderOptions struct {
 	Planner plan.Config
 	// PlanCacheSize bounds the shared LRU plan cache (default 128).
 	PlanCacheSize int
-	// Accountant meters per-tenant store traffic. When the request context
-	// does not already carry a meter (i.e. the Runner has none bound), Open
-	// derives the tenant ID from the keyspace path values and meters into
-	// this accountant. Nil leaves such requests unmetered.
+	// Accountant meters per-tenant store traffic. When the transaction has
+	// no meter bound (i.e. the Runner has none), Open derives the tenant ID
+	// from the keyspace path values and binds that tenant's meter from this
+	// accountant. Nil leaves such requests unmetered.
 	Accountant *resource.Accountant
 	// SlowQueries, when set, observes every query execution's latency into
 	// its histogram and captures structured summaries of executions over
@@ -108,11 +108,11 @@ func (p *StoreProvider) StoreStateCacheStats() StoreStateCacheStats { return p.s
 // store-state cache when no store's state has changed since it read them,
 // so a warm open waits out the GRV and issues no read.
 //
-// Open also binds the tenant's resource meter: the meter riding the context
-// (attached by a Runner with an Accountant) wins; otherwise, with a
-// provider-level Accountant configured, the tenant ID is derived from the
-// path values. Every read and write through the returned store — record
-// loads, saves, scans, index maintenance — is then accounted to the tenant.
+// Open also binds a tenant meter to tr when none is bound yet: a Runner with
+// an Accountant has already bound the request tenant's meter, which wins;
+// otherwise, with a provider-level Accountant configured, the tenant ID is
+// derived from the path values. The transaction then charges the tenant for
+// all of its I/O from directory resolution on (see Transaction.SetMeter).
 func (p *StoreProvider) Open(ctx context.Context, tr *fdb.Transaction, tenant ...interface{}) (*Store, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -121,18 +121,16 @@ func (p *StoreProvider) Open(ctx context.Context, tr *fdb.Transaction, tenant ..
 	if err != nil {
 		return nil, err
 	}
+	if p.opts.Accountant != nil && tr.Meter() == nil {
+		tr.SetMeter(p.opts.Accountant.Tenant(resource.TenantKey(tenant...)))
+	}
 	space, err := path.ToSubspace(tr)
 	if err != nil {
 		return nil, err
 	}
-	meter := resource.MeterFrom(ctx)
-	if meter == nil && p.opts.Accountant != nil {
-		meter = p.opts.Accountant.Tenant(resource.TenantKey(tenant...))
-	}
 	cs, err := core.Open(tr, p.md, space, core.OpenOptions{
 		CreateIfMissing: true,
 		Config:          p.opts.Config,
-		Meter:           meter,
 		StateCache:      p.states,
 	})
 	if err != nil {
