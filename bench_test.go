@@ -43,7 +43,7 @@ func BenchmarkFigure1StorePopulation(b *testing.B) {
 // BenchmarkTable1ZoneConcurrency regenerates Table 1's measured rows.
 func BenchmarkTable1ZoneConcurrency(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := exp.RunTable1(nil)
+		res, err := exp.RunTable1(context.Background(), nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -55,7 +55,7 @@ func BenchmarkTable1ZoneConcurrency(b *testing.B) {
 // BenchmarkTable2TextBunching regenerates Table 2's space measurement.
 func BenchmarkTable2TextBunching(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := exp.RunTable2(nil, 60, []int{1, 20})
+		res, err := exp.RunTable2(context.Background(), nil, 60, []int{1, 20})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -68,7 +68,7 @@ func BenchmarkTable2TextBunching(b *testing.B) {
 // BenchmarkSection82Overheads regenerates the §8.2 key-overhead statistics.
 func BenchmarkSection82Overheads(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := exp.RunOverheads(nil)
+		res, err := exp.RunOverheads(context.Background(), nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -93,7 +93,7 @@ func BenchmarkSection2TxnSizes(b *testing.B) {
 // BenchmarkFigure5RankLookup measures rank queries on the skip list after
 // verifying the paper's worked example.
 func BenchmarkFigure5RankLookup(b *testing.B) {
-	res, err := exp.RunFigure5(nil)
+	res, err := exp.RunFigure5(context.Background(), nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func BenchmarkOperationMix(b *testing.B) {
 // BenchmarkAblationAtomicVsRMW regenerates ablation A1.
 func BenchmarkAblationAtomicVsRMW(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := exp.RunAtomicVsRMW(nil, 8, 25)
+		res, err := exp.RunAtomicVsRMW(context.Background(), nil, 8, 25)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -148,7 +148,7 @@ func BenchmarkAblationAtomicVsRMW(b *testing.B) {
 // BenchmarkAblationVersionCache regenerates ablation A2.
 func BenchmarkAblationVersionCache(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := exp.RunVersionCache(nil, 300)
+		res, err := exp.RunVersionCache(context.Background(), nil, 300)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -160,7 +160,7 @@ func BenchmarkAblationVersionCache(b *testing.B) {
 // BenchmarkAblationBunchSweep regenerates ablation A3.
 func BenchmarkAblationBunchSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := exp.RunTable2(nil, 40, []int{1, 2, 5, 10, 20, 50})
+		res, err := exp.RunTable2(context.Background(), nil, 40, []int{1, 2, 5, 10, 20, 50})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -173,7 +173,7 @@ func BenchmarkAblationBunchSweep(b *testing.B) {
 // BenchmarkAblationSyncIndex regenerates ablation A4.
 func BenchmarkAblationSyncIndex(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := exp.RunSyncAblation(nil, 6, 15)
+		res, err := exp.RunSyncAblation(context.Background(), nil, 6, 15)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -56,37 +56,38 @@ func line() string {
 
 func runOne(id string, stores, docs, txns int, short bool) error {
 	w := os.Stdout
+	ctx := context.Background()
 	switch id {
 	case "f1":
 		exp.RunFigure1(w, stores)
 	case "t1":
-		_, err := exp.RunTable1(w)
+		_, err := exp.RunTable1(ctx, w)
 		return err
 	case "t2":
-		_, err := exp.RunTable2(w, docs, []int{1, 20})
+		_, err := exp.RunTable2(ctx, w, docs, []int{1, 20})
 		return err
 	case "e1":
-		_, err := exp.RunOverheads(w)
+		_, err := exp.RunOverheads(ctx, w)
 		return err
 	case "e2":
 		_, err := exp.RunTxnSizes(w, txns)
 		return err
 	case "f5":
-		_, err := exp.RunFigure5(w)
+		_, err := exp.RunFigure5(ctx, w)
 		return err
 	case "a1":
-		_, err := exp.RunAtomicVsRMW(w, 8, 40)
+		_, err := exp.RunAtomicVsRMW(ctx, w, 8, 40)
 		return err
 	case "a2":
-		_, err := exp.RunVersionCache(w, 500)
+		_, err := exp.RunVersionCache(ctx, w, 500)
 		return err
 	case "a3":
 		fmt.Fprintln(w, "Ablation A3: bunch size sweep (Table 2 corpus)")
 		fmt.Fprintln(w)
-		_, err := exp.RunTable2(w, docs, []int{1, 2, 5, 10, 20, 50})
+		_, err := exp.RunTable2(ctx, w, docs, []int{1, 2, 5, 10, 20, 50})
 		return err
 	case "a4":
-		_, err := exp.RunSyncAblation(w, 8, 25)
+		_, err := exp.RunSyncAblation(ctx, w, 8, 25)
 		return err
 	case "mix":
 		fmt.Fprintln(w, "Operation mix through the public recordlayer façade (§8.2):")

@@ -98,6 +98,7 @@ func setLimitsCmd(args []string) {
 
 	db := fdb.Open(nil)
 	store := recordlayer.NewLimitsStore(db)
+	ctx := context.Background()
 	lim := recordlayer.TenantLimits{
 		TxnPerSecond:   *rate,
 		Burst:          *burst,
@@ -106,16 +107,16 @@ func setLimitsCmd(args []string) {
 		MaxConcurrent:  *concurrent,
 		Weight:         *weight,
 	}
-	must(store.Set(tenant, lim))
+	must(store.Set(ctx, tenant, lim))
 	fmt.Printf("persisted limits for %q under /__system__/limits:\n", tenant)
-	printLimitsTable(store)
+	printLimitsTable(ctx, store)
 
 	// Two stateless servers load the same table.
 	govA := recordlayer.NewGovernor(nil, recordlayer.GovernorOptions{})
 	govB := recordlayer.NewGovernor(nil, recordlayer.GovernorOptions{})
-	nA, err := govA.LoadLimits(store)
+	nA, err := govA.LoadLimits(ctx, store)
 	must(err)
-	_, err = govB.LoadLimits(store)
+	_, err = govB.LoadLimits(ctx, store)
 	must(err)
 	fmt.Printf("\ntwo governors loaded %d persisted tenant(s); no SetLimits call anywhere:\n", nA)
 	for i, gov := range []*recordlayer.Governor{govA, govB} {
@@ -131,18 +132,19 @@ func setLimitsCmd(args []string) {
 func showLimitsCmd() {
 	db := fdb.Open(nil)
 	store := recordlayer.NewLimitsStore(db)
-	all, err := store.All()
+	ctx := context.Background()
+	all, err := store.All(ctx)
 	must(err)
 	if len(all) == 0 {
 		fmt.Println("(limits table empty; seeding example rows — an in-memory simulator starts blank)")
-		must(store.Set("acme", recordlayer.TenantLimits{TxnPerSecond: 100, MaxConcurrent: 8}))
-		must(store.Set("freeloader", recordlayer.TenantLimits{TxnPerSecond: 10, Burst: 2, BytesPerSecond: 64 << 10}))
+		must(store.Set(ctx, "acme", recordlayer.TenantLimits{TxnPerSecond: 100, MaxConcurrent: 8}))
+		must(store.Set(ctx, "freeloader", recordlayer.TenantLimits{TxnPerSecond: 10, Burst: 2, BytesPerSecond: 64 << 10}))
 	}
-	printLimitsTable(store)
+	printLimitsTable(ctx, store)
 }
 
-func printLimitsTable(store *recordlayer.LimitsStore) {
-	all, err := store.All()
+func printLimitsTable(ctx context.Context, store *recordlayer.LimitsStore) {
+	all, err := store.All(ctx)
 	must(err)
 	fmt.Printf("  %-12s %8s %6s %10s %10s %6s %6s\n",
 		"TENANT", "TXN/S", "BURST", "BYTES/S", "BYTEBURST", "CONC", "WEIGHT")
@@ -321,17 +323,17 @@ func usageCmd() {
 					id += 3
 				}
 			}
-			n, err := exp.Export()
+			n, err := exp.Export(ctx)
 			must(err)
 			fmt.Printf("%s window %d: exported %d tenant row(s)\n", server, window+1, n)
 		}
 	}
 
-	rows, err := metering.Records()
+	rows, err := metering.Records(ctx)
 	must(err)
 	fmt.Printf("\n/__system__/metering holds %d versionstamped window rows\n", len(rows))
 
-	perTenant, total, err := metering.Report()
+	perTenant, total, err := metering.Report(ctx)
 	must(err)
 	fmt.Println("\nPer-tenant totals (all servers, all windows):")
 	fmt.Printf("  %-12s %6s %13s %13s %9s\n",
@@ -390,7 +392,7 @@ func scrubCmd() {
 
 	section("1. A healthy store")
 	zones := []string{"personal", "work", "shared"}
-	_, err = db.Transact(func(tr *fdb.Transaction) (interface{}, error) {
+	_, err = db.Transact(ctx, func(ctx context.Context, tr *fdb.Transaction) (interface{}, error) {
 		s, err := provider.Open(ctx, tr, "acme")
 		if err != nil {
 			return nil, err
@@ -416,7 +418,7 @@ func scrubCmd() {
 	}
 
 	section("2. Corrupting the index behind the store's back")
-	_, err = db.Transact(func(tr *fdb.Transaction) (interface{}, error) {
+	_, err = db.Transact(ctx, func(ctx context.Context, tr *fdb.Transaction) (interface{}, error) {
 		s, err := provider.Open(ctx, tr, "acme")
 		if err != nil {
 			return nil, err

@@ -29,7 +29,9 @@ type obsStack struct {
 }
 
 func newObsStack() *obsStack {
-	db := fdb.Open(nil)
+	// A light seeded conflict rate gives the retry families
+	// (fdb_retries_total, runner_retries_by_cause_total) something to export.
+	db := fdb.Open(&fdb.Options{Faults: fdb.NewFaultInjector(fdb.FaultConfig{Seed: 1, PCommitNotCommitted: 0.1})})
 	acct := recordlayer.NewAccountant()
 	gov := recordlayer.NewGovernor(acct, recordlayer.GovernorOptions{})
 	gov.SetLimits("freeloader", recordlayer.TenantLimits{TxnPerSecond: 25, Burst: 5})

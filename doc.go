@@ -5,9 +5,11 @@
 //
 // This package is the public façade. It has five pillars:
 //
-//   - Runner: the standard transactional retry loop (§5) with bounded
-//     attempts, exponential backoff with jitter, retryable-error
-//     classification, and context cancellation/deadline propagation.
+//   - Runner: the foreground policy over the layer's one retry loop (§5,
+//     fdb.Database.Retry): bounded attempts, exponential backoff with
+//     jitter, retryable-error classification, and context
+//     cancellation/deadline propagation, plus the façade's own tenant
+//     admission, per-attempt tenant metering and per-runner metrics.
 //   - StoreProvider: multi-tenant routing — a schema, store configuration,
 //     and keyspace path template bound together so one call opens a
 //     tenant's record store inside a transaction.
@@ -367,21 +369,27 @@
 // with no injector configured, no fault path executes and the hot paths pay
 // nothing (the bench gate enforces it).
 //
-// Error semantics split three ways, and the façade exposes the split:
-// IsRetryable errors (conflicts, stale reads, timeouts) guarantee nothing
-// was committed, so the Runner retries them blindly. IsMaybeCommitted errors
-// guarantee nothing — blind retry could apply a write twice — so plain Run
+// Error semantics split three ways, and the façade exposes the split. There
+// is one retry loop (fdb.Database.Retry), so they hold for every
+// transaction: Runner requests and background work (index builds, scrubs,
+// lease heartbeats, metering export) alike. IsRetryable errors (conflicts,
+// stale reads, timeouts) guarantee nothing was committed, so the loop
+// retries them blindly. IsMaybeCommitted errors guarantee nothing — blind
+// retry could apply a write twice — so plain Run (and Database.Transact)
 // surfaces them after the failing attempt as a typed *MaybeCommittedError.
 // Ambiguity is sticky: once any attempt ends maybe-committed, every later
 // terminal outcome (retry exhaustion, an application error) still reports
 // MaybeCommittedError, because a clean failure on attempt 3 cannot un-apply
 // attempt 1's possible commit. Callers whose closures converge under
 // re-execution — blind constant writes, progress-keyed batches,
-// compare-and-repair — opt into retrying ambiguity with RunIdempotent (or
-// RunnerOptions.RetryMaybeCommitted); the rl-vet `idempotent` analyzer makes
-// every such opt-in carry a written reason. Runner.Metrics breaks retries
-// and failures down by cause (conflict, too_old, future_version, timeout,
-// quota, maybe_committed), and the metrics registry exports the same labels.
+// compare-and-repair — opt into retrying ambiguity per call with
+// RunIdempotent (background work: Database.TransactIdempotent); the rl-vet
+// `idempotent` analyzer makes every such opt-in carry a written reason.
+// Runner.Metrics breaks retries and failures down by cause (conflict,
+// too_old, future_version, timeout, quota, maybe_committed), and the metrics
+// registry exports the same labels. Every attempt of a ctx carrying a trace
+// (WithTrace) records a runner.attempt span with its cause, background
+// transactions included.
 //
 // The recovery paths are built to survive exactly these faults: the
 // OnlineIndexer's batches are progress-keyed so a maybe-committed batch
@@ -416,8 +424,8 @@
 // # Invariants
 //
 // The conventions the layers depend on are mechanically enforced, not just
-// documented: closures passed to Runner.Run/Database.Transact must be safe
-// to re-execute on conflict retry, every GetAsync/GetRangeAsync future must
+// documented: closures that reach the retry loop (any func literal passed
+// as an fdb.TransactFunc) must be safe to re-execute on conflict retry, every GetAsync/GetRangeAsync future must
 // be awaited on all paths, library code must thread the caller's context
 // and injected clock rather than reaching for context.Background or
 // time.Now, obs recording calls must hide behind a nil check so

@@ -88,7 +88,7 @@ func main() {
 	// The user moves to cluster B: copy the store's key range, bump the
 	// incarnation (§8.1). Cluster B's commit versions are uncorrelated with
 	// cluster A's — smaller, even — yet sync order is preserved.
-	if err := svc.MoveUser(clusterA, clusterB, notes, 1); err != nil {
+	if err := svc.MoveUser(ctx, clusterA, clusterB, notes, 1); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("\nuser 1 moved from cluster A to cluster B")

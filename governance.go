@@ -43,9 +43,9 @@ import (
 // table:
 //
 //	limits := recordlayer.NewLimitsStore(db)
-//	_ = limits.Set("hot-tenant", recordlayer.TenantLimits{TxnPerSecond: 100, BytesPerSecond: 1 << 20})
-//	_, _ = gov.LoadLimits(limits)                       // at startup
-//	go gov.WatchLimits(ctx, limits, 10*time.Second)     // refresh loop
+//	_ = limits.Set(ctx, "hot-tenant", recordlayer.TenantLimits{TxnPerSecond: 100, BytesPerSecond: 1 << 20})
+//	_, _ = gov.LoadLimits(ctx, limits)              // at startup
+//	go gov.WatchLimits(ctx, limits, 10*time.Second) // refresh loop
 
 // Accountant is the per-tenant usage registry; see internal/resource.
 type Accountant = resource.Accountant

@@ -1,6 +1,7 @@
 package bunched
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -15,7 +16,7 @@ import (
 func dumpAll(t *testing.T, db *fdb.Database) []string {
 	t.Helper()
 	var out []string
-	_, err := db.ReadTransact(func(tr *fdb.Transaction) (interface{}, error) {
+	_, err := db.ReadTransact(context.Background(), func(_ context.Context, tr *fdb.Transaction) (interface{}, error) {
 		kvs, _, err := tr.Snapshot().GetRange([]byte{0x00}, []byte{0xFF, 0xFF, 0xFF}, fdb.RangeOptions{})
 		if err != nil {
 			return nil, err
@@ -52,7 +53,7 @@ func (m *totals) RecordWrite(rows, n int) { m.writeRows += rows; m.writeBytes +=
 func runOps(t *testing.T, db *fdb.Database, m *Map, ops []mapOp, batched bool) (changed []bool, billed totals, stats fdb.TxnStats) {
 	t.Helper()
 	changed = make([]bool, len(ops))
-	_, err := db.Transact(func(tr *fdb.Transaction) (interface{}, error) {
+	_, err := db.Transact(context.Background(), func(_ context.Context, tr *fdb.Transaction) (interface{}, error) {
 		billed = totals{}
 		tr.SetMeter(&billed)
 		defer func() { stats = tr.Stats() }()
@@ -96,7 +97,7 @@ func compareRuns(t *testing.T, bunchSize int, seed, ops []mapOp) {
 	t.Helper()
 	mk := func() (*fdb.Database, *Map) {
 		db, m := newMap(bunchSize)
-		_, err := db.Transact(func(tr *fdb.Transaction) (interface{}, error) {
+		_, err := db.Transact(context.Background(), func(_ context.Context, tr *fdb.Transaction) (interface{}, error) {
 			for _, o := range seed {
 				if err := m.Insert(tr, o.token, pk(o.n), o.offsets); err != nil {
 					return nil, err
@@ -220,7 +221,7 @@ func TestAsyncBatchSharesWindow(t *testing.T) {
 		db := fdb.Open(&fdb.Options{Latency: fdb.LatencyModel{PerRead: window, Virtual: true}})
 		m := New(subspace.FromTuple(tuple.Tuple{"text"}), 4)
 		var waited int64
-		_, err := db.Transact(func(tr *fdb.Transaction) (interface{}, error) {
+		_, err := db.Transact(context.Background(), func(_ context.Context, tr *fdb.Transaction) (interface{}, error) {
 			ops := make([]*Op, 0, n)
 			a := m.Async(tr)
 			for i := 0; i < n; i++ {

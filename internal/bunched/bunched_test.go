@@ -1,6 +1,7 @@
 package bunched
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -20,7 +21,7 @@ func pk(n int) tuple.Tuple { return tuple.Tuple{int64(n)} }
 
 func insert(t *testing.T, db *fdb.Database, m *Map, token string, n int, offsets ...int64) {
 	t.Helper()
-	_, err := db.Transact(func(tr *fdb.Transaction) (interface{}, error) {
+	_, err := db.Transact(context.Background(), func(_ context.Context, tr *fdb.Transaction) (interface{}, error) {
 		return nil, m.Insert(tr, token, pk(n), offsets)
 	})
 	if err != nil {
@@ -30,7 +31,7 @@ func insert(t *testing.T, db *fdb.Database, m *Map, token string, n int, offsets
 
 func scan(t *testing.T, db *fdb.Database, m *Map, token string) []Entry {
 	t.Helper()
-	v, err := db.ReadTransact(func(tr *fdb.Transaction) (interface{}, error) {
+	v, err := db.ReadTransact(context.Background(), func(_ context.Context, tr *fdb.Transaction) (interface{}, error) {
 		return m.ScanToken(tr, token)
 	})
 	if err != nil {
@@ -42,7 +43,7 @@ func scan(t *testing.T, db *fdb.Database, m *Map, token string) []Entry {
 
 func physicalPairs(t *testing.T, db *fdb.Database, m *Map) int {
 	t.Helper()
-	v, err := db.ReadTransact(func(tr *fdb.Transaction) (interface{}, error) {
+	v, err := db.ReadTransact(context.Background(), func(_ context.Context, tr *fdb.Transaction) (interface{}, error) {
 		s, err := m.ComputeStats(tr)
 		return s, err
 	})
@@ -58,7 +59,7 @@ func TestInsertAndGet(t *testing.T) {
 	insert(t, db, m, "whale", 2, 5)
 	insert(t, db, m, "ship", 1, 0)
 
-	_, err := db.ReadTransact(func(tr *fdb.Transaction) (interface{}, error) {
+	_, err := db.ReadTransact(context.Background(), func(_ context.Context, tr *fdb.Transaction) (interface{}, error) {
 		offs, ok, err := m.Get(tr, "whale", pk(1))
 		if err != nil || !ok || len(offs) != 2 || offs[1] != 9 {
 			t.Errorf("get whale/1: %v %v %v", offs, ok, err)
@@ -135,7 +136,7 @@ func TestDeleteVariants(t *testing.T) {
 		insert(t, db, m, "tok", i, int64(i))
 	}
 	del := func(n int) bool {
-		v, err := db.Transact(func(tr *fdb.Transaction) (interface{}, error) {
+		v, err := db.Transact(context.Background(), func(_ context.Context, tr *fdb.Transaction) (interface{}, error) {
 			return m.Delete(tr, "tok", pk(n))
 		})
 		if err != nil {
@@ -177,7 +178,7 @@ func TestScanPrefix(t *testing.T) {
 	insert(t, db, m, "wharf", 3, 2)
 	insert(t, db, m, "ship", 4, 3)
 
-	v, err := db.ReadTransact(func(tr *fdb.Transaction) (interface{}, error) {
+	v, err := db.ReadTransact(context.Background(), func(_ context.Context, tr *fdb.Transaction) (interface{}, error) {
 		return m.ScanPrefix(tr, "whal")
 	})
 	if err != nil {
@@ -196,7 +197,7 @@ func TestCompact(t *testing.T) {
 		insert(t, db, m, "tok", i, int64(i))
 	}
 	for i := 1; i <= 50; i += 7 {
-		_, err := db.Transact(func(tr *fdb.Transaction) (interface{}, error) {
+		_, err := db.Transact(context.Background(), func(_ context.Context, tr *fdb.Transaction) (interface{}, error) {
 			return m.Delete(tr, "tok", pk(i))
 		})
 		if err != nil {
@@ -204,7 +205,7 @@ func TestCompact(t *testing.T) {
 		}
 	}
 	before := physicalPairs(t, db, m)
-	_, err := db.Transact(func(tr *fdb.Transaction) (interface{}, error) {
+	_, err := db.Transact(context.Background(), func(_ context.Context, tr *fdb.Transaction) (interface{}, error) {
 		return nil, m.Compact(tr, "tok")
 	})
 	if err != nil {
@@ -236,7 +237,7 @@ func TestRandomizedAgainstModel(t *testing.T) {
 		token := tokens[rng.Intn(len(tokens))]
 		n := rng.Intn(30)
 		if rng.Intn(4) == 0 {
-			_, err := db.Transact(func(tr *fdb.Transaction) (interface{}, error) {
+			_, err := db.Transact(context.Background(), func(_ context.Context, tr *fdb.Transaction) (interface{}, error) {
 				return m.Delete(tr, token, pk(n))
 			})
 			if err != nil {
@@ -247,7 +248,7 @@ func TestRandomizedAgainstModel(t *testing.T) {
 			}
 		} else {
 			offs := []int64{int64(step)}
-			_, err := db.Transact(func(tr *fdb.Transaction) (interface{}, error) {
+			_, err := db.Transact(context.Background(), func(_ context.Context, tr *fdb.Transaction) (interface{}, error) {
 				return nil, m.Insert(tr, token, pk(n), offs)
 			})
 			if err != nil {

@@ -1,6 +1,7 @@
 package cloudkit
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -47,7 +48,7 @@ func newEnv(t testing.TB) (*fdb.Database, *Service, *Container) {
 func withUser(t testing.TB, db *fdb.Database, svc *Service, ct *Container, user int64,
 	f func(store *core.Store, tr *fdb.Transaction) error) {
 	t.Helper()
-	_, err := db.Transact(func(tr *fdb.Transaction) (interface{}, error) {
+	_, err := db.Transact(context.Background(), func(_ context.Context, tr *fdb.Transaction) (interface{}, error) {
 		store, err := svc.UserStore(tr, ct, user)
 		if err != nil {
 			return nil, err
@@ -285,7 +286,7 @@ func TestMoveUserPreservesSyncOrder(t *testing.T) {
 			return err
 		})
 	}
-	if err := svc.MoveUser(src, dst, ct, 7); err != nil {
+	if err := svc.MoveUser(context.Background(), src, dst, ct, 7); err != nil {
 		t.Fatal(err)
 	}
 	// Post-move writes land on the destination cluster, whose commit
@@ -323,7 +324,7 @@ func TestMoveUserPreservesSyncOrder(t *testing.T) {
 	// The source no longer holds the user's data.
 	if src.Size() != 0 {
 		// Directory-layer metadata may remain; the store range must be gone.
-		_, err := src.ReadTransact(func(tr *fdb.Transaction) (interface{}, error) {
+		_, err := src.ReadTransact(context.Background(), func(_ context.Context, tr *fdb.Transaction) (interface{}, error) {
 			store, err := svc.UserStore(tr, ct, 7)
 			if err != nil {
 				return nil, err

@@ -1,6 +1,7 @@
 package cloudkit
 
 import (
+	"context"
 	"fmt"
 
 	"recordlayer/internal/core"
@@ -101,11 +102,11 @@ func (s *Service) ZoneRecordCount(store *core.Store, zone string) (int64, error)
 // operate the store lives inside it (§3) — then increment the user's
 // incarnation on the destination so post-move commit versions, which are
 // uncorrelated with the source cluster's, still sort after pre-move changes.
-func (s *Service) MoveUser(src, dst *fdb.Database, ct *Container, userID int64) error {
+func (s *Service) MoveUser(ctx context.Context, src, dst *fdb.Database, ct *Container, userID int64) error {
 	// Resolve the store subspace on the source; the directory layer state
 	// is part of what we copy, so the same path resolves on the destination.
 	var sp subspaceHolder
-	_, err := src.ReadTransact(func(tr *fdb.Transaction) (interface{}, error) {
+	_, err := src.ReadTransact(ctx, func(ctx context.Context, tr *fdb.Transaction) (interface{}, error) {
 		space, err := s.StoreSubspace(tr, ct, userID)
 		if err != nil {
 			return nil, err
@@ -123,16 +124,16 @@ func (s *Service) MoveUser(src, dst *fdb.Database, ct *Container, userID int64) 
 		{[]byte{0xFE}, []byte{0xFF}}, // directory layer metadata
 	}
 	for _, r := range ranges {
-		kvs, err := readAll(src, r[0], r[1])
+		kvs, err := readAll(ctx, src, r[0], r[1])
 		if err != nil {
 			return err
 		}
-		if err := writeAll(dst, kvs); err != nil {
+		if err := writeAll(ctx, dst, kvs); err != nil {
 			return err
 		}
 	}
 	// Increment the incarnation on the destination (§8.1).
-	_, err = dst.Transact(func(tr *fdb.Transaction) (interface{}, error) {
+	_, err = dst.Transact(ctx, func(ctx context.Context, tr *fdb.Transaction) (interface{}, error) {
 		store, err := s.UserStore(tr, ct, userID)
 		if err != nil {
 			return nil, err
@@ -143,7 +144,7 @@ func (s *Service) MoveUser(src, dst *fdb.Database, ct *Container, userID int64) 
 		return err
 	}
 	// Clear the source range: the tenant has moved.
-	_, err = src.Transact(func(tr *fdb.Transaction) (interface{}, error) {
+	_, err = src.Transact(ctx, func(ctx context.Context, tr *fdb.Transaction) (interface{}, error) {
 		return nil, tr.ClearRange(sp.begin, sp.end)
 	})
 	return err
@@ -151,8 +152,8 @@ func (s *Service) MoveUser(src, dst *fdb.Database, ct *Container, userID int64) 
 
 type subspaceHolder struct{ begin, end []byte }
 
-func readAll(db *fdb.Database, begin, end []byte) ([]fdb.KeyValue, error) {
-	v, err := db.ReadTransact(func(tr *fdb.Transaction) (interface{}, error) {
+func readAll(ctx context.Context, db *fdb.Database, begin, end []byte) ([]fdb.KeyValue, error) {
+	v, err := db.ReadTransact(ctx, func(ctx context.Context, tr *fdb.Transaction) (interface{}, error) {
 		kvs, _, err := tr.Snapshot().GetRange(begin, end, fdb.RangeOptions{})
 		return kvs, err
 	})
@@ -162,8 +163,8 @@ func readAll(db *fdb.Database, begin, end []byte) ([]fdb.KeyValue, error) {
 	return v.([]fdb.KeyValue), nil
 }
 
-func writeAll(db *fdb.Database, kvs []fdb.KeyValue) error {
-	_, err := db.Transact(func(tr *fdb.Transaction) (interface{}, error) {
+func writeAll(ctx context.Context, db *fdb.Database, kvs []fdb.KeyValue) error {
+	_, err := db.Transact(ctx, func(ctx context.Context, tr *fdb.Transaction) (interface{}, error) {
 		for _, kv := range kvs {
 			if err := tr.Set(kv.Key, kv.Value); err != nil {
 				return nil, err

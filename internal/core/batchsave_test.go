@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -20,7 +21,7 @@ import (
 func dumpKeyspace(t *testing.T, db *fdb.Database) []string {
 	t.Helper()
 	var out []string
-	_, err := db.ReadTransact(func(tr *fdb.Transaction) (interface{}, error) {
+	_, err := db.ReadTransact(context.Background(), func(_ context.Context, tr *fdb.Transaction) (interface{}, error) {
 		kvs, _, err := tr.Snapshot().GetRange([]byte{0x00}, []byte{0xFF, 0xFF, 0xFF}, fdb.RangeOptions{})
 		if err != nil {
 			return nil, err
@@ -63,7 +64,7 @@ func TestSaveRecordsMatchesLoop(t *testing.T) {
 		acct := resource.NewAccountant()
 		meter := acct.Tenant("t1")
 		save := func(msgs []*message.Message) {
-			_, err := db.Transact(func(tr *fdb.Transaction) (interface{}, error) {
+			_, err := db.Transact(context.Background(), func(_ context.Context, tr *fdb.Transaction) (interface{}, error) {
 				tr.SetMeter(meter)
 				s, err := Open(tr, md, sp, OpenOptions{CreateIfMissing: true})
 				if err != nil {
@@ -182,7 +183,7 @@ func TestSaveRecordsOverlapsOldLoads(t *testing.T) {
 	wait := func(batch bool) int64 {
 		db := fdb.Open(&fdb.Options{Latency: fdb.LatencyModel{PerRead: window, Virtual: true}})
 		var w int64
-		_, err := db.Transact(func(tr *fdb.Transaction) (interface{}, error) {
+		_, err := db.Transact(context.Background(), func(_ context.Context, tr *fdb.Transaction) (interface{}, error) {
 			s, err := Open(tr, md, sp, OpenOptions{CreateIfMissing: true})
 			if err != nil {
 				return nil, err
@@ -239,7 +240,7 @@ func TestSaveRecordsOverlapsIndexReads(t *testing.T) {
 	wait := func(batch bool) int64 {
 		db := fdb.Open(&fdb.Options{Latency: fdb.LatencyModel{PerRead: window, Virtual: true}})
 		var w int64
-		_, err := db.Transact(func(tr *fdb.Transaction) (interface{}, error) {
+		_, err := db.Transact(context.Background(), func(_ context.Context, tr *fdb.Transaction) (interface{}, error) {
 			s, err := Open(tr, md, sp, OpenOptions{CreateIfMissing: true})
 			if err != nil {
 				return nil, err
@@ -304,7 +305,7 @@ func TestInsertRecord(t *testing.T) {
 	}
 
 	// Inserting an existing record errors and writes nothing.
-	_, err := dbIns.Transact(func(tr *fdb.Transaction) (interface{}, error) {
+	_, err := dbIns.Transact(context.Background(), func(_ context.Context, tr *fdb.Transaction) (interface{}, error) {
 		s, err := Open(tr, md, sp, OpenOptions{})
 		if err != nil {
 			return nil, err

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -68,7 +69,7 @@ func newStoreEnv(t testing.TB) (*fdb.Database, *metadata.MetaData, subspace.Subs
 func withStore(t testing.TB, db *fdb.Database, md *metadata.MetaData, sp subspace.Subspace,
 	f func(s *Store) error) {
 	t.Helper()
-	_, err := db.Transact(func(tr *fdb.Transaction) (interface{}, error) {
+	_, err := db.Transact(context.Background(), func(_ context.Context, tr *fdb.Transaction) (interface{}, error) {
 		s, err := Open(tr, md, sp, OpenOptions{CreateIfMissing: true})
 		if err != nil {
 			return nil, err
@@ -531,7 +532,7 @@ func TestRecordSplitting(t *testing.T) {
 	big := mkUser(1, strings.Repeat("x", 500), 1)
 	big.MustSet("bio", strings.Repeat("lorem ipsum ", 400)) // ~4.8kB
 
-	_, err := db.Transact(func(tr *fdb.Transaction) (interface{}, error) {
+	_, err := db.Transact(context.Background(), func(_ context.Context, tr *fdb.Transaction) (interface{}, error) {
 		s, err := Open(tr, md, sp, OpenOptions{CreateIfMissing: true,
 			Config: Config{SplitChunkSize: 1000}})
 		if err != nil {
@@ -549,7 +550,7 @@ func TestRecordSplitting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = db.Transact(func(tr *fdb.Transaction) (interface{}, error) {
+	_, err = db.Transact(context.Background(), func(_ context.Context, tr *fdb.Transaction) (interface{}, error) {
 		s, err := Open(tr, md, sp, OpenOptions{Config: Config{SplitChunkSize: 1000}})
 		if err != nil {
 			return nil, err
@@ -587,7 +588,7 @@ func TestSerializers(t *testing.T) {
 			db, md, _ := newStoreEnv(t)
 			sp := subspace.FromTuple(tuple.Tuple{"ser", tc.name})
 			cfg := Config{Serializer: tc.ser}
-			_, err := db.Transact(func(tr *fdb.Transaction) (interface{}, error) {
+			_, err := db.Transact(context.Background(), func(_ context.Context, tr *fdb.Transaction) (interface{}, error) {
 				s, err := Open(tr, md, sp, OpenOptions{CreateIfMissing: true, Config: cfg})
 				if err != nil {
 					return nil, err

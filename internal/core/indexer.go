@@ -40,11 +40,6 @@ type OnlineIndexer struct {
 	// (PaceFromGovernor). Returning an error (e.g. ctx.Err()) stops the
 	// build like a cancellation. Progress stays persisted either way.
 	Pace func(ctx context.Context) error
-	// Trace, when set, is attached to every build transaction, so each batch
-	// records an indexer.batch span (scan, issue, resolve — with the batch
-	// limit and records indexed in its attr) alongside the underlying read
-	// windows, all priced by the database's latency clock.
-	Trace *obs.Trace
 }
 
 // PaceFromGovernor adapts a resource.Governor into an OnlineIndexer.Pace
@@ -92,6 +87,11 @@ func idempotentType(t metadata.IndexType) bool {
 // cancellation and deadlines promptly without losing progress: the batch
 // boundary is durable, and a later Build resumes from it (the index stays
 // write-only until a build completes).
+//
+// A trace bound to ctx (obs.WithTrace) is attached to every build
+// transaction, so each batch records an indexer.batch span (scan, issue,
+// resolve — with the batch limit and records indexed in its attr) alongside
+// its attempt spans and the underlying read windows.
 func (o *OnlineIndexer) Build(ctx context.Context) (int, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
@@ -109,10 +109,7 @@ func (o *OnlineIndexer) Build(ctx context.Context) (int, error) {
 	}
 	// Phase 1: clear any stale data and enter write-only (§6).
 	//rl:idempotent clear-then-mark-write-only converges: re-running after a maybe-committed attempt re-clears and re-marks the same state
-	_, err := o.DB.TransactIdempotent(func(tr *fdb.Transaction) (interface{}, error) {
-		if o.Trace != nil {
-			tr.SetTrace(o.Trace)
-		}
+	_, err := o.DB.TransactIdempotent(ctx, func(ctx context.Context, tr *fdb.Transaction) (interface{}, error) {
 		s, err := Open(tr, o.MetaData, o.Space, OpenOptions{Config: o.Config})
 		if err != nil {
 			return nil, err
@@ -138,7 +135,7 @@ func (o *OnlineIndexer) Build(ctx context.Context) (int, error) {
 		if err := ctx.Err(); err != nil {
 			return total, err
 		}
-		n, done, err := o.buildBatch(batch)
+		n, done, err := o.buildBatch(ctx, batch)
 		if err != nil {
 			return total, err
 		}
@@ -155,10 +152,7 @@ func (o *OnlineIndexer) Build(ctx context.Context) (int, error) {
 
 	// Phase 3: mark readable and clear progress.
 	//rl:idempotent clearing the progress key and marking readable applies the same end state however many times it commits
-	_, err = o.DB.TransactIdempotent(func(tr *fdb.Transaction) (interface{}, error) {
-		if o.Trace != nil {
-			tr.SetTrace(o.Trace)
-		}
+	_, err = o.DB.TransactIdempotent(ctx, func(ctx context.Context, tr *fdb.Transaction) (interface{}, error) {
 		s, err := Open(tr, o.MetaData, o.Space, OpenOptions{Config: o.Config})
 		if err != nil {
 			return nil, err
@@ -176,12 +170,9 @@ func (o *OnlineIndexer) Build(ctx context.Context) (int, error) {
 // types — so a batch whose commit fate is unknown is simply re-run: if the
 // first commit applied, the rerun rewrites identical index entries and the
 // same progress key.
-func (o *OnlineIndexer) buildBatch(batch int) (int, bool, error) {
+func (o *OnlineIndexer) buildBatch(ctx context.Context, batch int) (int, bool, error) {
 	//rl:idempotent Build only accepts idempotent index types; re-indexing a batch and rewriting its progress key converges
-	v, err := o.DB.TransactIdempotent(func(tr *fdb.Transaction) (interface{}, error) {
-		if o.Trace != nil {
-			tr.SetTrace(o.Trace)
-		}
+	v, err := o.DB.TransactIdempotent(ctx, func(ctx context.Context, tr *fdb.Transaction) (interface{}, error) {
 		s, err := Open(tr, o.MetaData, o.Space, OpenOptions{Config: o.Config})
 		if err != nil {
 			return nil, err

@@ -26,7 +26,7 @@ func TestOpenCreatesHeader(t *testing.T) {
 		return nil
 	})
 	// Opening without CreateIfMissing fails for a fresh subspace.
-	_, err := db.Transact(func(tr *fdb.Transaction) (interface{}, error) {
+	_, err := db.Transact(context.Background(), func(_ context.Context, tr *fdb.Transaction) (interface{}, error) {
 		_, err := Open(tr, md, subspace.FromTuple(tuple.Tuple{"other"}), OpenOptions{})
 		return nil, err
 	})
@@ -47,7 +47,7 @@ func TestStaleMetadataRejected(t *testing.T) {
 	v1 := metadata.NewBuilder(1).
 		AddRecordType(userDesc(), keyexpr.Then(keyexpr.RecordType(), keyexpr.Field("id"))).
 		MustBuild()
-	_, err := db.Transact(func(tr *fdb.Transaction) (interface{}, error) {
+	_, err := db.Transact(context.Background(), func(_ context.Context, tr *fdb.Transaction) (interface{}, error) {
 		_, err := Open(tr, v1, sp, OpenOptions{})
 		return nil, err
 	})
@@ -107,7 +107,7 @@ func TestAddIndexLargeStoreRequiresOnlineBuild(t *testing.T) {
 
 	v2 := evolveSchema(t)
 	cfg := Config{InlineBuildLimit: 10} // force the online path
-	_, err := db.Transact(func(tr *fdb.Transaction) (interface{}, error) {
+	_, err := db.Transact(context.Background(), func(_ context.Context, tr *fdb.Transaction) (interface{}, error) {
 		s, err := Open(tr, v2, sp, OpenOptions{Config: cfg})
 		if err != nil {
 			return nil, err
@@ -136,7 +136,7 @@ func TestAddIndexLargeStoreRequiresOnlineBuild(t *testing.T) {
 		t.Fatalf("indexed %d records", n)
 	}
 
-	_, err = db.Transact(func(tr *fdb.Transaction) (interface{}, error) {
+	_, err = db.Transact(context.Background(), func(_ context.Context, tr *fdb.Transaction) (interface{}, error) {
 		s, err := Open(tr, v2, sp, OpenOptions{Config: cfg})
 		if err != nil {
 			return nil, err
@@ -168,7 +168,7 @@ func TestWriteOnlyIndexMaintainedDuringBuild(t *testing.T) {
 
 	// Transition to write-only manually, then save a record: the write-only
 	// index must be maintained even though it cannot serve reads (§6).
-	_, err := db.Transact(func(tr *fdb.Transaction) (interface{}, error) {
+	_, err := db.Transact(context.Background(), func(_ context.Context, tr *fdb.Transaction) (interface{}, error) {
 		s, err := Open(tr, v2, sp, OpenOptions{Config: cfg})
 		if err != nil {
 			return nil, err
@@ -182,7 +182,7 @@ func TestWriteOnlyIndexMaintainedDuringBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = db.Transact(func(tr *fdb.Transaction) (interface{}, error) {
+	_, err = db.Transact(context.Background(), func(_ context.Context, tr *fdb.Transaction) (interface{}, error) {
 		s, err := Open(tr, v2, sp, OpenOptions{Config: cfg})
 		if err != nil {
 			return nil, err
@@ -262,7 +262,7 @@ func TestUniqueIndex(t *testing.T) {
 		MustBuild()
 	saveUsers(t, db, md, sp, mkUser(1, "alice", 1))
 
-	_, err := db.Transact(func(tr *fdb.Transaction) (interface{}, error) {
+	_, err := db.Transact(context.Background(), func(_ context.Context, tr *fdb.Transaction) (interface{}, error) {
 		s, err := Open(tr, md, sp, OpenOptions{})
 		if err != nil {
 			return nil, err
@@ -314,7 +314,7 @@ func TestSplitDisabledRejectsBigRecords(t *testing.T) {
 		SetSplitLongRecords(false).
 		AddRecordType(userDesc(), keyexpr.Then(keyexpr.RecordType(), keyexpr.Field("id"))).
 		MustBuild()
-	_, err := db.Transact(func(tr *fdb.Transaction) (interface{}, error) {
+	_, err := db.Transact(context.Background(), func(_ context.Context, tr *fdb.Transaction) (interface{}, error) {
 		s, err := Open(tr, md, sp, OpenOptions{CreateIfMissing: true, Config: Config{SplitChunkSize: 100}})
 		if err != nil {
 			return nil, err
@@ -334,7 +334,7 @@ func TestDeleteStoreRemovesEverything(t *testing.T) {
 	if db.Size() == 0 {
 		t.Fatal("expected data")
 	}
-	_, err := db.Transact(func(tr *fdb.Transaction) (interface{}, error) {
+	_, err := db.Transact(context.Background(), func(_ context.Context, tr *fdb.Transaction) (interface{}, error) {
 		return nil, DeleteStore(tr, sp)
 	})
 	if err != nil {
@@ -408,7 +408,7 @@ func TestOnlineIndexerCancellation(t *testing.T) {
 
 	v2 := evolveSchema(t)
 	cfg := Config{InlineBuildLimit: 5} // force the online path
-	_, err := db.Transact(func(tr *fdb.Transaction) (interface{}, error) {
+	_, err := db.Transact(context.Background(), func(_ context.Context, tr *fdb.Transaction) (interface{}, error) {
 		_, err := Open(tr, v2, sp, OpenOptions{Config: cfg})
 		return nil, err
 	})

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -24,7 +25,7 @@ func TestScanLimitSmallerThanRecordFootprint(t *testing.T) {
 	// are both far below a single record's pair footprint.
 	cfg := Config{SplitChunkSize: 40}
 	const n = 6
-	_, err := db.Transact(func(tr *fdb.Transaction) (interface{}, error) {
+	_, err := db.Transact(context.Background(), func(_ context.Context, tr *fdb.Transaction) (interface{}, error) {
 		s, err := Open(tr, md, sp, OpenOptions{CreateIfMissing: true, Config: cfg})
 		if err != nil {
 			return nil, err
@@ -50,7 +51,7 @@ func TestScanLimitSmallerThanRecordFootprint(t *testing.T) {
 				t.Fatalf("limit %d: paging did not terminate (ids so far %v)", limit, got)
 			}
 			var reason cursor.NoNextReason
-			_, err := db.Transact(func(tr *fdb.Transaction) (interface{}, error) {
+			_, err := db.Transact(context.Background(), func(_ context.Context, tr *fdb.Transaction) (interface{}, error) {
 				s, err := Open(tr, md, sp, OpenOptions{Config: cfg})
 				if err != nil {
 					return nil, err

@@ -122,7 +122,7 @@ func (o *Scrubber) Scrub(ctx context.Context) (*ScrubReport, error) {
 		if err := ctx.Err(); err != nil {
 			return rep, err
 		}
-		b, err := o.entryBatch(cont, batch)
+		b, err := o.entryBatch(ctx, cont, batch)
 		if err != nil {
 			return rep, err
 		}
@@ -141,7 +141,7 @@ func (o *Scrubber) Scrub(ctx context.Context) (*ScrubReport, error) {
 		if err := ctx.Err(); err != nil {
 			return rep, err
 		}
-		b, err := o.recordBatch(cont, batch)
+		b, err := o.recordBatch(ctx, cont, batch)
 		if err != nil {
 			return rep, err
 		}
@@ -179,9 +179,9 @@ func (o *Scrubber) open(tr *fdb.Transaction) (*Store, *index.ValueMaintainer, er
 }
 
 // entryBatch verifies up to batch physical entries starting after cont.
-func (o *Scrubber) entryBatch(cont []byte, batch int) (scrubBatch, error) {
+func (o *Scrubber) entryBatch(ctx context.Context, cont []byte, batch int) (scrubBatch, error) {
 	//rl:idempotent snapshot verification plus repairs that clear/rewrite the same keys; re-running a maybe-committed batch converges
-	v, err := o.DB.TransactIdempotent(func(tr *fdb.Transaction) (interface{}, error) {
+	v, err := o.DB.TransactIdempotent(ctx, func(ctx context.Context, tr *fdb.Transaction) (interface{}, error) {
 		s, vm, err := o.open(tr)
 		if err != nil {
 			return nil, err
@@ -243,9 +243,9 @@ func (o *Scrubber) entryBatch(cont []byte, batch int) (scrubBatch, error) {
 
 // recordBatch verifies up to batch records' expected entries starting from
 // the ScanRecords continuation cont.
-func (o *Scrubber) recordBatch(cont []byte, batch int) (scrubBatch, error) {
+func (o *Scrubber) recordBatch(ctx context.Context, cont []byte, batch int) (scrubBatch, error) {
 	//rl:idempotent snapshot verification plus repairs that rewrite the same entry keys; re-running a maybe-committed batch converges
-	v, err := o.DB.TransactIdempotent(func(tr *fdb.Transaction) (interface{}, error) {
+	v, err := o.DB.TransactIdempotent(ctx, func(ctx context.Context, tr *fdb.Transaction) (interface{}, error) {
 		s, vm, err := o.open(tr)
 		if err != nil {
 			return nil, err

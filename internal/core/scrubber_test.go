@@ -31,7 +31,7 @@ func scrubEnv(t *testing.T, n int) (*fdb.Database, *Scrubber) {
 // corrupt performs raw index-key surgery inside one transaction.
 func corrupt(t *testing.T, db *fdb.Database, scr *Scrubber, f func(s *Store, kvs []fdb.KeyValue) error) {
 	t.Helper()
-	_, err := db.Transact(func(tr *fdb.Transaction) (interface{}, error) {
+	_, err := db.Transact(context.Background(), func(_ context.Context, tr *fdb.Transaction) (interface{}, error) {
 		s, err := Open(tr, scr.MetaData, scr.Space, OpenOptions{})
 		if err != nil {
 			return nil, err
@@ -155,7 +155,7 @@ func TestScrubSmallBatchesResume(t *testing.T) {
 
 func TestScrubRefusesUnreadableIndex(t *testing.T) {
 	db, scr := scrubEnv(t, 4)
-	_, err := db.Transact(func(tr *fdb.Transaction) (interface{}, error) {
+	_, err := db.Transact(context.Background(), func(_ context.Context, tr *fdb.Transaction) (interface{}, error) {
 		s, err := Open(tr, scr.MetaData, scr.Space, OpenOptions{})
 		if err != nil {
 			return nil, err

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -70,7 +71,7 @@ func runStateModel(t *testing.T, seed int64, steps int, skipBump bool) string {
 		if rng.Intn(3) == 0 {
 			md = schemas[0]
 		}
-		_, err := db.Transact(func(tr *fdb.Transaction) (interface{}, error) {
+		_, err := db.Transact(context.Background(), func(_ context.Context, tr *fdb.Transaction) (interface{}, error) {
 			return nil, f(tr, opts, sp, md)
 		})
 		if err != nil {
@@ -180,7 +181,7 @@ func TestStoreStateCacheBumpedTransactionBypasses(t *testing.T) {
 	cache := NewStoreStateCache()
 	saveUsers(t, db, md, sp, mkUser(1, "a", 1))
 	saveUsers(t, db, md, other, mkUser(1, "a", 1))
-	_, err := db.Transact(func(tr *fdb.Transaction) (interface{}, error) {
+	_, err := db.Transact(context.Background(), func(_ context.Context, tr *fdb.Transaction) (interface{}, error) {
 		s, err := Open(tr, md, sp, OpenOptions{StateCache: cache})
 		if err != nil {
 			return nil, err

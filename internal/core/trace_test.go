@@ -29,7 +29,7 @@ func TestRankReadSpans(t *testing.T) {
 		mkUser(1, "a", 100), mkUser(2, "b", 200), mkUser(3, "c", 300), mkUser(4, "d", 400))
 
 	trace := obs.NewTrace()
-	_, err := db.ReadTransact(func(tr *fdb.Transaction) (interface{}, error) {
+	_, err := db.ReadTransact(context.Background(), func(_ context.Context, tr *fdb.Transaction) (interface{}, error) {
 		tr.SetTrace(trace)
 		s, err := Open(tr, md, sp, OpenOptions{})
 		if err != nil {
@@ -120,8 +120,8 @@ func TestIndexerBatchSpan(t *testing.T) {
 	cfg := Config{InlineBuildLimit: 5}
 	trace := obs.NewTrace()
 	indexer := &OnlineIndexer{DB: db, MetaData: v2, Space: sp, IndexName: "by_score",
-		BatchSize: 7, Config: cfg, Trace: trace}
-	n, err := indexer.Build(context.Background())
+		BatchSize: 7, Config: cfg}
+	n, err := indexer.Build(obs.WithTrace(context.Background(), trace))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,4 +153,33 @@ func TestIndexerBatchSpan(t *testing.T) {
 	if !strings.Contains(trace.Summary(), obs.SpanIndexerBatch) {
 		t.Fatalf("summary missing batch spans: %s", trace.Summary())
 	}
+}
+
+// TestIndexerRetriesAppearInTrace: build batches that conflict are retried
+// by the loop, and each retried attempt shows up in the ctx's trace with its
+// cause.
+func TestIndexerRetriesAppearInTrace(t *testing.T) {
+	inj := fdb.NewFaultInjector(fdb.FaultConfig{Seed: 13, PCommitNotCommitted: 0.5})
+	inj.Disable()
+	db := fdb.Open(&fdb.Options{Faults: inj, Sleep: func(time.Duration) {}})
+	sp := subspace.FromTuple(tuple.Tuple{"t"})
+	var users []*message.Message
+	for i := int64(1); i <= 20; i++ {
+		users = append(users, mkUser(i, fmt.Sprintf("u%d", i), i*10))
+	}
+	saveUsers(t, db, baseSchemaV1(t), sp, users...)
+
+	inj.Enable()
+	trace := obs.NewTrace()
+	indexer := &OnlineIndexer{DB: db, MetaData: evolveSchema(t), Space: sp, IndexName: "by_score",
+		BatchSize: 7, Config: Config{InlineBuildLimit: 5}}
+	if _, err := indexer.Build(obs.WithTrace(context.Background(), trace)); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range trace.Named(obs.SpanAttempt) {
+		if strings.Contains(s.Attr, "cause="+fdb.CauseConflict) {
+			return
+		}
+	}
+	t.Fatalf("no attempt span with cause=conflict in %+v", trace.Named(obs.SpanAttempt))
 }

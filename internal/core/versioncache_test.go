@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -9,7 +10,7 @@ import (
 
 func TestVersionCacheApplySavesGRV(t *testing.T) {
 	db := fdb.Open(nil)
-	_, err := db.Transact(func(tr *fdb.Transaction) (interface{}, error) {
+	_, err := db.Transact(context.Background(), func(_ context.Context, tr *fdb.Transaction) (interface{}, error) {
 		return nil, tr.Set([]byte("k"), []byte("v"))
 	})
 	if err != nil {

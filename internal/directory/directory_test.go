@@ -1,6 +1,7 @@
 package directory
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -18,7 +19,7 @@ func TestAllocateUniqueSequential(t *testing.T) {
 	db, l := newLayer()
 	seen := map[int64]bool{}
 	for i := 0; i < 200; i++ {
-		v, err := db.Transact(func(tr *fdb.Transaction) (interface{}, error) {
+		v, err := db.Transact(context.Background(), func(_ context.Context, tr *fdb.Transaction) (interface{}, error) {
 			return l.Allocate(tr)
 		})
 		if err != nil {
@@ -36,7 +37,7 @@ func TestAllocateKeepsValuesSmall(t *testing.T) {
 	db, l := newLayer()
 	var maxID int64
 	for i := 0; i < 100; i++ {
-		v, err := db.Transact(func(tr *fdb.Transaction) (interface{}, error) {
+		v, err := db.Transact(context.Background(), func(_ context.Context, tr *fdb.Transaction) (interface{}, error) {
 			return l.Allocate(tr)
 		})
 		if err != nil {
@@ -62,7 +63,7 @@ func TestAllocateConcurrentUnique(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 25; i++ {
-				v, err := db.Transact(func(tr *fdb.Transaction) (interface{}, error) {
+				v, err := db.Transact(context.Background(), func(_ context.Context, tr *fdb.Transaction) (interface{}, error) {
 					return l.Allocate(tr)
 				})
 				if err != nil {
@@ -89,7 +90,7 @@ func TestAllocateConcurrentUnique(t *testing.T) {
 func TestInternStable(t *testing.T) {
 	db, l := newLayer()
 	get := func(name string) int64 {
-		v, err := db.Transact(func(tr *fdb.Transaction) (interface{}, error) {
+		v, err := db.Transact(context.Background(), func(_ context.Context, tr *fdb.Transaction) (interface{}, error) {
 			return l.Intern(tr, name)
 		})
 		if err != nil {
@@ -110,7 +111,7 @@ func TestInternStable(t *testing.T) {
 
 func TestLookupNameReverse(t *testing.T) {
 	db, l := newLayer()
-	v, err := db.Transact(func(tr *fdb.Transaction) (interface{}, error) {
+	v, err := db.Transact(context.Background(), func(_ context.Context, tr *fdb.Transaction) (interface{}, error) {
 		return l.Intern(tr, "my-app")
 	})
 	if err != nil {
@@ -125,7 +126,7 @@ func TestLookupNameReverse(t *testing.T) {
 func resolveName(db *fdb.Database, l *Layer, id int64) (string, bool, error) {
 	var name string
 	var ok bool
-	_, err := db.ReadTransact(func(tr *fdb.Transaction) (interface{}, error) {
+	_, err := db.ReadTransact(context.Background(), func(_ context.Context, tr *fdb.Transaction) (interface{}, error) {
 		var err error
 		name, ok, err = l.LookupName(tr, id)
 		return nil, err
@@ -135,7 +136,7 @@ func resolveName(db *fdb.Database, l *Layer, id int64) (string, bool, error) {
 
 func TestCreateOrOpenDisjoint(t *testing.T) {
 	db, l := newLayer()
-	v, err := db.Transact(func(tr *fdb.Transaction) (interface{}, error) {
+	v, err := db.Transact(context.Background(), func(_ context.Context, tr *fdb.Transaction) (interface{}, error) {
 		s1, err := l.CreateOrOpen(tr, "users", "alice")
 		if err != nil {
 			return nil, err
@@ -161,7 +162,7 @@ func TestCreateOrOpenDisjoint(t *testing.T) {
 
 func TestOpenMissing(t *testing.T) {
 	db, l := newLayer()
-	_, err := db.ReadTransact(func(tr *fdb.Transaction) (interface{}, error) {
+	_, err := db.ReadTransact(context.Background(), func(_ context.Context, tr *fdb.Transaction) (interface{}, error) {
 		_, ok, err := l.Open(tr, "does", "not", "exist")
 		if err != nil {
 			return nil, err
@@ -178,7 +179,7 @@ func TestOpenMissing(t *testing.T) {
 
 func TestList(t *testing.T) {
 	db, l := newLayer()
-	_, err := db.Transact(func(tr *fdb.Transaction) (interface{}, error) {
+	_, err := db.Transact(context.Background(), func(_ context.Context, tr *fdb.Transaction) (interface{}, error) {
 		for _, n := range []string{"b", "a", "c"} {
 			if _, err := l.Intern(tr, n); err != nil {
 				return nil, err
@@ -189,7 +190,7 @@ func TestList(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = db.ReadTransact(func(tr *fdb.Transaction) (interface{}, error) {
+	_, err = db.ReadTransact(context.Background(), func(_ context.Context, tr *fdb.Transaction) (interface{}, error) {
 		names, err := l.List(tr)
 		if err != nil {
 			return nil, err

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -22,7 +23,7 @@ type Figure5Result struct {
 // RunFigure5 reproduces Figure 5: the six-element skip list with a, b, d
 // promoted to level 1 and a to level 2, and the worked rank("e") = 4
 // computation.
-func RunFigure5(w io.Writer) (Figure5Result, error) {
+func RunFigure5(ctx context.Context, w io.Writer) (Figure5Result, error) {
 	res := Figure5Result{Layers: map[int]map[string]int64{}}
 	db := fdb.Open(nil)
 	rs := rankedset.New(subspace.FromTuple(tuple.Tuple{"f5"}), &rankedset.Config{
@@ -38,7 +39,7 @@ func RunFigure5(w io.Writer) (Figure5Result, error) {
 			return false
 		},
 	})
-	_, err := db.Transact(func(tr *fdb.Transaction) (interface{}, error) {
+	_, err := db.Transact(ctx, func(ctx context.Context, tr *fdb.Transaction) (interface{}, error) {
 		if err := rs.Init(tr); err != nil {
 			return nil, err
 		}
@@ -52,7 +53,7 @@ func RunFigure5(w io.Writer) (Figure5Result, error) {
 	if err != nil {
 		return res, err
 	}
-	_, err = db.ReadTransact(func(tr *fdb.Transaction) (interface{}, error) {
+	_, err = db.ReadTransact(ctx, func(ctx context.Context, tr *fdb.Transaction) (interface{}, error) {
 		r, ok, err := rs.Rank(tr, []byte("e"))
 		if err != nil || !ok {
 			return nil, fmt.Errorf("rank(e): %v %v", ok, err)
@@ -119,7 +120,7 @@ type AtomicVsRMWResult struct {
 // RunAtomicVsRMW measures why §7's aggregate indexes use atomic mutations:
 // concurrent workers bump one aggregate with atomic ADDs (conflict-free)
 // versus read-modify-write (every pair of concurrent updates conflicts).
-func RunAtomicVsRMW(w io.Writer, workers, ops int) (AtomicVsRMWResult, error) {
+func RunAtomicVsRMW(ctx context.Context, w io.Writer, workers, ops int) (AtomicVsRMWResult, error) {
 	res := AtomicVsRMWResult{Workers: workers, OpsPerWorker: ops}
 	one := make([]byte, 8)
 	binary.LittleEndian.PutUint64(one, 1)
@@ -160,7 +161,7 @@ func RunAtomicVsRMW(w io.Writer, workers, ops int) (AtomicVsRMWResult, error) {
 						return 0, 0, err
 					}
 					// Retry the lost increment standalone.
-					if _, err := db.Transact(func(tr *fdb.Transaction) (interface{}, error) {
+					if _, err := db.Transact(ctx, func(ctx context.Context, tr *fdb.Transaction) (interface{}, error) {
 						return nil, apply(tr, rmw)
 					}); err != nil {
 						return 0, 0, err
@@ -169,7 +170,7 @@ func RunAtomicVsRMW(w io.Writer, workers, ops int) (AtomicVsRMWResult, error) {
 			}
 		}
 		// Verify no lost updates.
-		v, err := db.Transact(func(tr *fdb.Transaction) (interface{}, error) {
+		v, err := db.Transact(ctx, func(ctx context.Context, tr *fdb.Transaction) (interface{}, error) {
 			return tr.Get([]byte("agg"))
 		})
 		if err != nil {
@@ -214,13 +215,13 @@ type VersionCacheResult struct {
 // RunVersionCache measures the §4 read-version caching optimization: a
 // read-heavy workload with and without the cache, counting getReadVersion
 // calls saved and stale reads served.
-func RunVersionCache(w io.Writer, reads int) (VersionCacheResult, error) {
+func RunVersionCache(ctx context.Context, w io.Writer, reads int) (VersionCacheResult, error) {
 	res := VersionCacheResult{Reads: reads}
 
 	runPass := func(useCache bool) (int64, int, error) {
 		db := fdb.Open(nil)
 		base := db.Metrics().Snapshot()
-		_, err := db.Transact(func(tr *fdb.Transaction) (interface{}, error) {
+		_, err := db.Transact(ctx, func(ctx context.Context, tr *fdb.Transaction) (interface{}, error) {
 			return nil, tr.Set([]byte("k"), []byte("v0"))
 		})
 		if err != nil {
@@ -231,7 +232,7 @@ func RunVersionCache(w io.Writer, reads int) (VersionCacheResult, error) {
 		for i := 0; i < reads; i++ {
 			// A writer advances the database every few reads.
 			if i%5 == 4 {
-				_, err := db.Transact(func(tr *fdb.Transaction) (interface{}, error) {
+				_, err := db.Transact(ctx, func(ctx context.Context, tr *fdb.Transaction) (interface{}, error) {
 					return nil, tr.Set([]byte("k"), []byte(fmt.Sprintf("v%d", i)))
 				})
 				if err != nil {

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 )
@@ -60,7 +61,7 @@ func TestFigure1Shape(t *testing.T) {
 // TestTable1Shape verifies the measured evidence matches the paper's
 // qualitative comparison.
 func TestTable1Shape(t *testing.T) {
-	res, err := RunTable1(nil)
+	res, err := RunTable1(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +82,7 @@ func TestTable1Shape(t *testing.T) {
 // TestTable2Shape verifies the bunching space savings: bunch-20 uses far
 // fewer pairs and fewer bytes per document than unbunched.
 func TestTable2Shape(t *testing.T) {
-	res, err := RunTable2(nil, 40, []int{1, 20})
+	res, err := RunTable2(context.Background(), nil, 40, []int{1, 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +108,7 @@ func TestTable2Shape(t *testing.T) {
 // TestOverheadsShape verifies the §8.2 shape: overhead keys are a minority
 // of reads and index writes are a few per record.
 func TestOverheadsShape(t *testing.T) {
-	res, err := RunOverheads(nil)
+	res, err := RunOverheads(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +139,7 @@ func TestTxnSizesShape(t *testing.T) {
 }
 
 func TestFigure5Walkthrough(t *testing.T) {
-	res, err := RunFigure5(nil)
+	res, err := RunFigure5(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +152,7 @@ func TestFigure5Walkthrough(t *testing.T) {
 }
 
 func TestAtomicVsRMWShape(t *testing.T) {
-	res, err := RunAtomicVsRMW(nil, 4, 15)
+	res, err := RunAtomicVsRMW(context.Background(), nil, 4, 15)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +165,7 @@ func TestAtomicVsRMWShape(t *testing.T) {
 }
 
 func TestVersionCacheShape(t *testing.T) {
-	res, err := RunVersionCache(nil, 100)
+	res, err := RunVersionCache(context.Background(), nil, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +175,7 @@ func TestVersionCacheShape(t *testing.T) {
 }
 
 func TestSyncAblationShape(t *testing.T) {
-	res, err := RunSyncAblation(nil, 4, 10)
+	res, err := RunSyncAblation(context.Background(), nil, 4, 10)
 	if err != nil {
 		t.Fatal(err)
 	}

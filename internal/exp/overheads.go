@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -52,7 +53,7 @@ func overheadSchema() cloudkit.ContainerSchema {
 // overhead (~15%), single-record gets reading ~13.3 keys (~7.7 overhead),
 // and saves writing ~8.5 records with ~34.5 index-related keys (~4 per
 // record).
-func RunOverheads(w io.Writer) (OverheadsResult, error) {
+func RunOverheads(ctx context.Context, w io.Writer) (OverheadsResult, error) {
 	var res OverheadsResult
 	db := fdb.Open(nil)
 	svc, err := cloudkit.NewService(9)
@@ -70,7 +71,7 @@ func RunOverheads(w io.Writer) (OverheadsResult, error) {
 	const nRecords = 200
 	for i := 0; i < nRecords; i++ {
 		i := i
-		_, err := db.Transact(func(tr *fdb.Transaction) (interface{}, error) {
+		_, err := db.Transact(ctx, func(ctx context.Context, tr *fdb.Transaction) (interface{}, error) {
 			store, err := svc.UserStore(tr, ct, 1)
 			if err != nil {
 				return nil, err

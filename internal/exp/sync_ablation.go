@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -23,7 +24,7 @@ type SyncAblationResult struct {
 // with concurrency), while the VERSION-index sync creates no conflicts
 // between writers of different records; and the (incarnation, version)
 // scheme keeps the change feed ordered across a cross-cluster move.
-func RunSyncAblation(w io.Writer, writers, ops int) (SyncAblationResult, error) {
+func RunSyncAblation(ctx context.Context, w io.Writer, writers, ops int) (SyncAblationResult, error) {
 	res := SyncAblationResult{Writers: writers, OpsPerWriter: ops}
 
 	// Legacy: contended CAS on one zone. Writers interleave deterministically
@@ -71,7 +72,7 @@ func RunSyncAblation(w io.Writer, writers, ops int) (SyncAblationResult, error) 
 		return res, err
 	}
 	// Seed the store so the probe measures record writes, not creation.
-	_, err = db.Transact(func(tr *fdb.Transaction) (interface{}, error) {
+	_, err = db.Transact(ctx, func(ctx context.Context, tr *fdb.Transaction) (interface{}, error) {
 		store, err := svc.UserStore(tr, ct, 1)
 		if err != nil {
 			return nil, err
@@ -106,7 +107,7 @@ func RunSyncAblation(w io.Writer, writers, ops int) (SyncAblationResult, error) 
 				}
 				// Retry the conflicting save standalone.
 				i := i
-				_, err := db.Transact(func(tr *fdb.Transaction) (interface{}, error) {
+				_, err := db.Transact(ctx, func(ctx context.Context, tr *fdb.Transaction) (interface{}, error) {
 					store, err := svc.UserStore(tr, ct, 1)
 					if err != nil {
 						return nil, err
@@ -127,10 +128,10 @@ func RunSyncAblation(w io.Writer, writers, ops int) (SyncAblationResult, error) 
 
 	// Cross-cluster move ordering.
 	dst := fdb.Open(nil)
-	if err := svc.MoveUser(db, dst, ct, 1); err != nil {
+	if err := svc.MoveUser(ctx, db, dst, ct, 1); err != nil {
 		return res, err
 	}
-	_, err = dst.Transact(func(tr *fdb.Transaction) (interface{}, error) {
+	_, err = dst.Transact(ctx, func(ctx context.Context, tr *fdb.Transaction) (interface{}, error) {
 		store, err := svc.UserStore(tr, ct, 1)
 		if err != nil {
 			return nil, err
@@ -143,7 +144,7 @@ func RunSyncAblation(w io.Writer, writers, ops int) (SyncAblationResult, error) 
 	if err != nil {
 		return res, err
 	}
-	_, err = dst.ReadTransact(func(tr *fdb.Transaction) (interface{}, error) {
+	_, err = dst.ReadTransact(ctx, func(ctx context.Context, tr *fdb.Transaction) (interface{}, error) {
 		store, err := svc.UserStore(tr, ct, 1)
 		if err != nil {
 			return nil, err

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -44,7 +45,7 @@ func ckSchema() cloudkit.ContainerSchema {
 // RunTable1 regenerates Table 1 (CloudKit on Cassandra vs on the Record
 // Layer) with measured evidence for each row: transaction scope, intra-zone
 // concurrency, zone size limits, and index consistency.
-func RunTable1(w io.Writer) (Table1Result, error) {
+func RunTable1(ctx context.Context, w io.Writer) (Table1Result, error) {
 	var res Table1Result
 
 	// --- Concurrency: two concurrent writers, different records, one zone.
@@ -69,7 +70,7 @@ func RunTable1(w io.Writer) (Table1Result, error) {
 	}
 	// Seed the user store first so the concurrency probe measures record
 	// writes, not store creation (interning + header writes collide once).
-	_, err = db.Transact(func(tr *fdb.Transaction) (interface{}, error) {
+	_, err = db.Transact(ctx, func(ctx context.Context, tr *fdb.Transaction) (interface{}, error) {
 		store, err := svc.UserStore(tr, ct, 1)
 		if err != nil {
 			return nil, err
@@ -133,7 +134,7 @@ func RunTable1(w io.Writer) (Table1Result, error) {
 	res.RecordLayerLargeZoneOK = true
 	for i := 0; i < 64; i++ {
 		i := i
-		_, err := db.Transact(func(tr *fdb.Transaction) (interface{}, error) {
+		_, err := db.Transact(ctx, func(ctx context.Context, tr *fdb.Transaction) (interface{}, error) {
 			store, err := svc.UserStore(tr, ct, 2)
 			if err != nil {
 				return nil, err
@@ -174,7 +175,7 @@ func RunTable1(w io.Writer) (Table1Result, error) {
 	// Write, commit, then query immediately: the user-defined index is
 	// maintained in the writing transaction, so the very next read sees it —
 	// unlike Solr, which stays stale until its asynchronous update runs.
-	_, err = db.Transact(func(tr *fdb.Transaction) (interface{}, error) {
+	_, err = db.Transact(ctx, func(ctx context.Context, tr *fdb.Transaction) (interface{}, error) {
 		store, err := svc.UserStore(tr, ct2, 3)
 		if err != nil {
 			return nil, err
@@ -186,7 +187,7 @@ func RunTable1(w io.Writer) (Table1Result, error) {
 	if err != nil {
 		return res, err
 	}
-	_, err = db.ReadTransact(func(tr *fdb.Transaction) (interface{}, error) {
+	_, err = db.ReadTransact(ctx, func(ctx context.Context, tr *fdb.Transaction) (interface{}, error) {
 		store, err := svc.UserStore(tr, ct2, 3)
 		if err != nil {
 			return nil, err

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -37,14 +38,14 @@ func textSchema(bunchSize int) *metadata.MetaData {
 
 // indexCorpus loads the corpus into a fresh store and measures the TEXT
 // index's storage.
-func indexCorpus(docs []workload.Document, bunchSize int) (BunchMeasurement, error) {
+func indexCorpus(ctx context.Context, docs []workload.Document, bunchSize int) (BunchMeasurement, error) {
 	db := fdb.Open(nil)
 	md := textSchema(bunchSize)
 	sp := subspace.FromTuple(tuple.Tuple{"t2"})
 	m := BunchMeasurement{BunchSize: bunchSize}
 	for _, d := range docs {
 		d := d
-		_, err := db.Transact(func(tr *fdb.Transaction) (interface{}, error) {
+		_, err := db.Transact(ctx, func(ctx context.Context, tr *fdb.Transaction) (interface{}, error) {
 			s, err := core.Open(tr, md, sp, core.OpenOptions{CreateIfMissing: true})
 			if err != nil {
 				return nil, err
@@ -58,7 +59,7 @@ func indexCorpus(docs []workload.Document, bunchSize int) (BunchMeasurement, err
 			return m, err
 		}
 	}
-	_, err := db.ReadTransact(func(tr *fdb.Transaction) (interface{}, error) {
+	_, err := db.ReadTransact(ctx, func(ctx context.Context, tr *fdb.Transaction) (interface{}, error) {
 		s, err := core.Open(tr, md, sp, core.OpenOptions{})
 		if err != nil {
 			return nil, err
@@ -88,11 +89,11 @@ func mustType(md *metadata.MetaData, name string) *message.Descriptor {
 // TEXT indexes, over a synthetic corpus calibrated to the paper's Moby Dick
 // statistics. bunchSizes selects configurations; {1, 20} reproduces the
 // table's two columns, a longer list produces ablation A3's sweep.
-func RunTable2(w io.Writer, nDocs int, bunchSizes []int) (Table2Result, error) {
+func RunTable2(ctx context.Context, w io.Writer, nDocs int, bunchSizes []int) (Table2Result, error) {
 	docs := workload.Corpus(nDocs, 2)
 	res := Table2Result{Corpus: workload.AnalyzeCorpus(docs)}
 	for _, bs := range bunchSizes {
-		m, err := indexCorpus(docs, bs)
+		m, err := indexCorpus(ctx, docs, bs)
 		if err != nil {
 			return res, err
 		}

@@ -9,9 +9,23 @@
 // at commit time against the write ranges of concurrently committed
 // transactions — so the layers built on top exercise the same code paths they
 // would on a real cluster.
+//
+// The package also owns the layer's one retry loop, Database.Retry: every
+// transactional closure runs there. It checks the ctx before each attempt,
+// backs off, classifies each failure (Cause), records runner.attempt and
+// runner.backoff spans into the ctx's obs.Trace, counts every retry in
+// Metrics().Retries, and latches commit_unknown_result ambiguity into a
+// *MaybeCommittedError. It runs under one of two policies. The Runner's
+// foreground policy comes from RunnerOptions (10 attempts, 2 ms jittered
+// backoff doubling to 250 ms by default), with admission and tenant metering
+// around the loop. Background work — index builds, scrubs, lease heartbeats,
+// metering export — calls Transact, ReadTransact or TransactIdempotent, which
+// use a fixed policy: 101 attempts, 1 ms doubling to 64 ms with no jitter,
+// slept through Options.Sleep.
 package fdb
 
 import (
+	"context"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -53,18 +67,8 @@ type Options struct {
 	// that SetReadVersion (read-version caching, §4) can read slightly stale
 	// snapshots.
 	SnapshotHistory int
-	// RetryLimit caps how many times Transact/ReadTransact re-run their
-	// closure after a retryable error (so RetryLimit N allows N+1 attempts),
-	// matching the real bindings' transaction_retry_limit option. 0 means
-	// the default (100); negative means unlimited (the historical behavior).
-	RetryLimit int
-	// RetryBackoff is the initial delay between retries, doubling per retry
-	// up to MaxRetryBackoff (the bindings' max_retry_delay). Defaults to
-	// 1ms / 64ms.
-	RetryBackoff    time.Duration
-	MaxRetryBackoff time.Duration
-	// Sleep performs the backoff delay; tests inject a no-op or recorder.
-	// Defaults to time.Sleep.
+	// Sleep performs background-retry backoff and wall-clock latency waits;
+	// tests inject a no-op or recorder. Defaults to time.Sleep.
 	Sleep func(time.Duration)
 	// Latency models per-read I/O latency (§8): every read — sync or async —
 	// completes a read-cost after it was issued, and reads issued before
@@ -114,9 +118,6 @@ func (m LatencyModel) readCost(nbytes int) time.Duration {
 	return m.PerRead + time.Duration(nbytes)*m.PerKB/1024
 }
 
-// DefaultRetryLimit is the retry cap applied when Options.RetryLimit is 0.
-const DefaultRetryLimit = 100
-
 type commitRecord struct {
 	version int64
 	writes  []KeyRange
@@ -138,6 +139,9 @@ type Database struct {
 	floor   int64           // newest version evicted from the resolver window
 	history []versionedRoot // ascending by version; snapshot history
 	metrics Metrics
+	// background is the retry policy of Transact, ReadTransact and
+	// TransactIdempotent.
+	background Policy
 
 	// vclock is the virtual latency clock (nanos) when Latency.Virtual is
 	// set: awaits advance it monotonically instead of sleeping.
@@ -165,19 +169,19 @@ func Open(opts *Options) *Database {
 	if o.SnapshotHistory <= 0 {
 		o.SnapshotHistory = 64
 	}
-	if o.RetryLimit == 0 {
-		o.RetryLimit = DefaultRetryLimit
-	}
-	if o.RetryBackoff <= 0 {
-		o.RetryBackoff = time.Millisecond
-	}
-	if o.MaxRetryBackoff <= 0 {
-		o.MaxRetryBackoff = 64 * time.Millisecond
-	}
 	if o.Sleep == nil {
 		o.Sleep = time.Sleep
 	}
-	return &Database{opts: o}
+	return &Database{opts: o, background: Policy{
+		MaxAttempts:    backgroundAttempts,
+		InitialBackoff: backgroundBackoff,
+		MaxBackoff:     backgroundMaxBackoff,
+		Sleep: func(_ context.Context, d time.Duration) error {
+			o.Sleep(d)
+			return nil
+		},
+		Now: o.Clock,
+	}}
 }
 
 // Metrics returns cumulative database-level counters.
@@ -334,60 +338,6 @@ func (d *Database) applyLocked(t *Transaction) int64 {
 	d.root = root
 	d.metrics.Commits.Add(1)
 	return commitVersion
-}
-
-// Transact runs f in a retry loop: the transaction is committed after f
-// returns nil, and retried (with a fresh read version) on retryable errors,
-// mirroring the bindings' standard idiom. Retries are bounded by
-// Options.RetryLimit and spaced by exponential backoff so a persistently
-// conflicting workload degrades into errors instead of spinning forever.
-func (d *Database) Transact(f func(*Transaction) (interface{}, error)) (interface{}, error) {
-	return d.transact(f, true, false)
-}
-
-// TransactIdempotent is Transact for closures the caller asserts are
-// idempotent: a commit_unknown_result (whose commit may or may not have
-// applied) is retried like a clean failure, because re-running and
-// re-committing idempotent work converges to the same state either way.
-// Non-idempotent closures must use Transact, which surfaces the ambiguity to
-// the caller instead. Call sites carry a reasoned //rl:idempotent directive
-// (enforced by rl-vet's idempotent analyzer).
-func (d *Database) TransactIdempotent(f func(*Transaction) (interface{}, error)) (interface{}, error) {
-	return d.transact(f, true, true)
-}
-
-// ReadTransact runs f in a read-only transaction (no commit).
-func (d *Database) ReadTransact(f func(*Transaction) (interface{}, error)) (interface{}, error) {
-	return d.transact(f, false, false)
-}
-
-func (d *Database) transact(f func(*Transaction) (interface{}, error), commit, retryUnknown bool) (interface{}, error) {
-	backoff := d.opts.RetryBackoff
-	for retries := 0; ; retries++ {
-		tr := d.CreateTransaction()
-		v, err := f(tr)
-		if err == nil {
-			if !commit {
-				return v, nil
-			}
-			err = tr.Commit()
-			if err == nil {
-				return v, nil
-			}
-		}
-		if !IsRetryable(err) && !(retryUnknown && IsMaybeCommitted(err)) {
-			return nil, err
-		}
-		if d.opts.RetryLimit > 0 && retries >= d.opts.RetryLimit {
-			return nil, err
-		}
-		d.metrics.Retries.Add(1)
-		d.opts.Sleep(backoff)
-		backoff *= 2
-		if backoff > d.opts.MaxRetryBackoff {
-			backoff = d.opts.MaxRetryBackoff
-		}
-	}
 }
 
 // Size returns the number of live keys in the user keyspace (for tests and

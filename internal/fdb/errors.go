@@ -71,11 +71,13 @@ func IsAccessedUnreadable(err error) bool {
 	return errors.As(err, &fe) && fe.Code == CodeAccessedUnreadable
 }
 
-// IsMaybeCommitted reports whether err is (or wraps) commit_unknown_result:
-// the commit's fate is genuinely unknown — it may or may not be durable.
-// Unlike a clean failure, the only safe generic reaction is to surface the
-// ambiguity; retrying is sound only for idempotent work.
+// IsMaybeCommitted reports whether err is (or wraps) a *MaybeCommittedError
+// or a raw commit_unknown_result: the commit's fate is genuinely unknown — it
+// may or may not be durable. Unlike a clean failure, the only safe generic
+// reaction is to surface the ambiguity; retrying is sound only for
+// idempotent work.
 func IsMaybeCommitted(err error) bool {
+	var me *MaybeCommittedError
 	var fe *Error
-	return errors.As(err, &fe) && fe.Code == CodeCommitUnknownResult
+	return errors.As(err, &me) || errors.As(err, &fe) && fe.Code == CodeCommitUnknownResult
 }

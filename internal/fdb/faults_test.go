@@ -1,6 +1,7 @@
 package fdb
 
 import (
+	"context"
 	"testing"
 	"time"
 )
@@ -47,7 +48,7 @@ func TestFaultsOffByDefault(t *testing.T) {
 	zero, inj := faultyDB(FaultConfig{Seed: 1})
 	for _, db := range []*Database{plain, zero} {
 		for i := 0; i < 50; i++ {
-			_, err := db.Transact(func(tr *Transaction) (interface{}, error) {
+			_, err := db.Transact(context.Background(), func(_ context.Context, tr *Transaction) (interface{}, error) {
 				if _, err := tr.Get([]byte{byte(i)}); err != nil {
 					return nil, err
 				}
@@ -82,7 +83,7 @@ func runStorm(t *testing.T, db *Database, inj *FaultInjector) ([]string, FaultCo
 	for i := 0; i < 80; i++ {
 		k := []byte{byte(i)}
 		v := []byte{byte(i), byte(i >> 1)}
-		_, err := db.Transact(func(tr *Transaction) (interface{}, error) {
+		_, err := db.Transact(context.Background(), func(_ context.Context, tr *Transaction) (interface{}, error) {
 			if _, err := tr.Get(k); err != nil {
 				return nil, err
 			}
@@ -95,7 +96,7 @@ func runStorm(t *testing.T, db *Database, inj *FaultInjector) ([]string, FaultCo
 	inj.Disable()
 	var state []string
 	for i := 0; i < 80; i++ {
-		v, err := db.ReadTransact(func(tr *Transaction) (interface{}, error) {
+		v, err := db.ReadTransact(context.Background(), func(_ context.Context, tr *Transaction) (interface{}, error) {
 			return tr.Get([]byte{byte(i)})
 		})
 		if err != nil {
@@ -149,7 +150,7 @@ func TestUnknownResultApplied(t *testing.T) {
 			t.Fatalf("commit error = %v, want commit_unknown_result", err)
 		}
 		inj.Disable()
-		got, err := db.ReadTransact(func(tr *Transaction) (interface{}, error) {
+		got, err := db.ReadTransact(context.Background(), func(_ context.Context, tr *Transaction) (interface{}, error) {
 			return tr.Get([]byte("k"))
 		})
 		if err != nil {
@@ -181,7 +182,7 @@ func TestReadFaultsRetriedByTransact(t *testing.T) {
 	db, inj := faultyDB(FaultConfig{Seed: 3, PReadTooOld: 0.3, PReadFuture: 0.3})
 	for i := 0; i < 40; i++ {
 		k := []byte{byte(i)}
-		_, err := db.Transact(func(tr *Transaction) (interface{}, error) {
+		_, err := db.Transact(context.Background(), func(_ context.Context, tr *Transaction) (interface{}, error) {
 			if _, err := tr.Get(k); err != nil {
 				return nil, err
 			}
@@ -234,7 +235,7 @@ func TestDisableEnable(t *testing.T) {
 func TestTransactSurfacesUnknownButIdempotentRetries(t *testing.T) {
 	db, inj := faultyDB(FaultConfig{Seed: 11, PCommitUnknown: 1, UnknownNeverApplies: true})
 	attempts := 0
-	_, err := db.Transact(func(tr *Transaction) (interface{}, error) {
+	_, err := db.Transact(context.Background(), func(_ context.Context, tr *Transaction) (interface{}, error) {
 		attempts++
 		return nil, tr.Set([]byte("a"), []byte("v"))
 	})
@@ -247,7 +248,7 @@ func TestTransactSurfacesUnknownButIdempotentRetries(t *testing.T) {
 
 	attempts = 0
 	//rl:idempotent test closure blind-writes a constant; re-running converges
-	v, err := db.TransactIdempotent(func(tr *Transaction) (interface{}, error) {
+	v, err := db.TransactIdempotent(context.Background(), func(_ context.Context, tr *Transaction) (interface{}, error) {
 		attempts++
 		if attempts == 2 {
 			inj.Disable() // let the retry's commit through

@@ -2,6 +2,7 @@ package fdb
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"fmt"
 	"math/rand"
@@ -115,7 +116,7 @@ func TestBlindWriteDoesNotConflict(t *testing.T) {
 	mustSet(t, t2, "k", "2")
 	mustCommit(t, t1)
 	mustCommit(t, t2)
-	got, _ := db.Transact(func(tr *Transaction) (interface{}, error) {
+	got, _ := db.Transact(context.Background(), func(_ context.Context, tr *Transaction) (interface{}, error) {
 		return tr.Get([]byte("k"))
 	})
 	if string(got.([]byte)) != "2" {
@@ -497,7 +498,7 @@ func TestTransactRetriesOnConflict(t *testing.T) {
 	mustCommit(t, seed)
 
 	first := true
-	_, err := db.Transact(func(tr *Transaction) (interface{}, error) {
+	_, err := db.Transact(context.Background(), func(_ context.Context, tr *Transaction) (interface{}, error) {
 		v, err := tr.Get([]byte("k"))
 		if err != nil {
 			return nil, err
@@ -521,7 +522,7 @@ func TestTransactRetriesOnConflict(t *testing.T) {
 	if db.Metrics().Retries.Load() == 0 {
 		t.Fatal("expected a retry")
 	}
-	got, _ := db.Transact(func(tr *Transaction) (interface{}, error) { return tr.Get([]byte("k")) })
+	got, _ := db.Transact(context.Background(), func(_ context.Context, tr *Transaction) (interface{}, error) { return tr.Get([]byte("k")) })
 	if string(got.([]byte)) != "x1" {
 		t.Fatalf("final value: %q", got)
 	}
@@ -674,7 +675,7 @@ func TestConcurrentTransactions(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				_, err := db.Transact(func(tr *Transaction) (interface{}, error) {
+				_, err := db.Transact(context.Background(), func(_ context.Context, tr *Transaction) (interface{}, error) {
 					if err := tr.Atomic(MutationAdd, []byte("ctr"), one); err != nil {
 						return nil, err
 					}
@@ -688,7 +689,7 @@ func TestConcurrentTransactions(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	got, err := db.Transact(func(tr *Transaction) (interface{}, error) { return tr.Get([]byte("ctr")) })
+	got, err := db.Transact(context.Background(), func(_ context.Context, tr *Transaction) (interface{}, error) { return tr.Get([]byte("ctr")) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -713,7 +714,7 @@ func TestRandomizedAgainstModel(t *testing.T) {
 		switch rng.Intn(10) {
 		case 0, 1, 2, 3, 4: // set
 			k, v := key(), fmt.Sprintf("v%d", step)
-			_, err := db.Transact(func(tr *Transaction) (interface{}, error) {
+			_, err := db.Transact(context.Background(), func(_ context.Context, tr *Transaction) (interface{}, error) {
 				return nil, tr.Set([]byte(k), []byte(v))
 			})
 			if err != nil {
@@ -722,7 +723,7 @@ func TestRandomizedAgainstModel(t *testing.T) {
 			model[k] = v
 		case 5, 6: // clear
 			k := key()
-			_, err := db.Transact(func(tr *Transaction) (interface{}, error) {
+			_, err := db.Transact(context.Background(), func(_ context.Context, tr *Transaction) (interface{}, error) {
 				return nil, tr.Clear([]byte(k))
 			})
 			if err != nil {
@@ -734,7 +735,7 @@ func TestRandomizedAgainstModel(t *testing.T) {
 			if a > b {
 				a, b = b, a
 			}
-			_, err := db.Transact(func(tr *Transaction) (interface{}, error) {
+			_, err := db.Transact(context.Background(), func(_ context.Context, tr *Transaction) (interface{}, error) {
 				return nil, tr.ClearRange([]byte(a), []byte(b))
 			})
 			if err != nil {
@@ -750,7 +751,7 @@ func TestRandomizedAgainstModel(t *testing.T) {
 			if a > b {
 				a, b = b, a
 			}
-			res, err := db.Transact(func(tr *Transaction) (interface{}, error) {
+			res, err := db.Transact(context.Background(), func(_ context.Context, tr *Transaction) (interface{}, error) {
 				kvs, _, err := tr.GetRange([]byte(a), []byte(b), RangeOptions{})
 				return kvs, err
 			})

@@ -1,6 +1,7 @@
 package fdb
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -15,7 +16,7 @@ func latencyDB(t *testing.T, perRead, perKB time.Duration) *Database {
 
 func seedKeys(t *testing.T, db *Database, n int) {
 	t.Helper()
-	_, err := db.Transact(func(tr *Transaction) (interface{}, error) {
+	_, err := db.Transact(context.Background(), func(_ context.Context, tr *Transaction) (interface{}, error) {
 		for i := 0; i < n; i++ {
 			if err := tr.Set([]byte(fmt.Sprintf("k%03d", i)), []byte(fmt.Sprintf("v%03d", i))); err != nil {
 				return nil, err
@@ -90,7 +91,7 @@ func TestPerKBCostScalesWithBytes(t *testing.T) {
 	const perKB = 1024 * time.Microsecond // 1µs per byte, keeps arithmetic exact
 	db := latencyDB(t, perRead, perKB)
 	big := make([]byte, 2048)
-	_, err := db.Transact(func(tr *Transaction) (interface{}, error) {
+	_, err := db.Transact(context.Background(), func(_ context.Context, tr *Transaction) (interface{}, error) {
 		return nil, tr.Set([]byte("big"), big)
 	})
 	if err != nil {

@@ -1,13 +1,16 @@
 package fdb
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 // TestMetricsSnapshotDelta exercises the phase-delta idiom the experiments
 // use: snapshot, run traffic, snapshot again, and the delta isolates exactly
 // that traffic's I/O.
 func TestMetricsSnapshotDelta(t *testing.T) {
 	db := Open(nil)
-	_, err := db.Transact(func(tr *Transaction) (interface{}, error) {
+	_, err := db.Transact(context.Background(), func(_ context.Context, tr *Transaction) (interface{}, error) {
 		return nil, tr.Set([]byte("warmup"), []byte("x"))
 	})
 	if err != nil {
@@ -20,7 +23,7 @@ func TestMetricsSnapshotDelta(t *testing.T) {
 	}
 	const n = 5
 	for i := 0; i < n; i++ {
-		_, err := db.Transact(func(tr *Transaction) (interface{}, error) {
+		_, err := db.Transact(context.Background(), func(_ context.Context, tr *Transaction) (interface{}, error) {
 			if _, err := tr.Get([]byte("warmup")); err != nil {
 				return nil, err
 			}

@@ -1,6 +1,7 @@
 package index
 
 import (
+	"context"
 	"testing"
 
 	"recordlayer/internal/fdb"
@@ -85,7 +86,7 @@ func TestCustomIndexType(t *testing.T) {
 		t.Fatal(err)
 	}
 	db, mkCtx := ctxFor(t, ix)
-	_, err = db.Transact(func(tr *fdb.Transaction) (interface{}, error) {
+	_, err = db.Transact(context.Background(), func(_ context.Context, tr *fdb.Transaction) (interface{}, error) {
 		return nil, Update(m, mkCtx(tr), nil, rec(1, "a", 1))
 	})
 	if err != nil || calls != 1 {
@@ -129,7 +130,7 @@ func TestValueMaintainerLifecycle(t *testing.T) {
 	db, mkCtx := ctxFor(t, ix)
 
 	// Insert, update (entry moves), delete.
-	_, err = db.Transact(func(tr *fdb.Transaction) (interface{}, error) {
+	_, err = db.Transact(context.Background(), func(_ context.Context, tr *fdb.Transaction) (interface{}, error) {
 		ctx := mkCtx(tr)
 		if err := Update(vm, ctx, nil, rec(1, "old", 1)); err != nil {
 			return nil, err
@@ -174,7 +175,7 @@ func TestCoveringIndexValueColumns(t *testing.T) {
 		t.Fatalf("key columns: %d", vm.KeyColumns())
 	}
 	db, mkCtx := ctxFor(t, ix)
-	_, err = db.Transact(func(tr *fdb.Transaction) (interface{}, error) {
+	_, err = db.Transact(context.Background(), func(_ context.Context, tr *fdb.Transaction) (interface{}, error) {
 		ctx := mkCtx(tr)
 		if err := Update(vm, ctx, nil, rec(1, "widget", 42)); err != nil {
 			return nil, err
@@ -203,7 +204,7 @@ func TestAtomicCountGroupTransitions(t *testing.T) {
 	}
 	am := m.(*AtomicMaintainer)
 	db, mkCtx := ctxFor(t, ix)
-	_, err = db.Transact(func(tr *fdb.Transaction) (interface{}, error) {
+	_, err = db.Transact(context.Background(), func(_ context.Context, tr *fdb.Transaction) (interface{}, error) {
 		ctx := mkCtx(tr)
 		// Two records in group "a", then one moves to group "b".
 		if err := Update(am, ctx, nil, rec(1, "a", 1)); err != nil {
@@ -220,7 +221,7 @@ func TestAtomicCountGroupTransitions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = db.ReadTransact(func(tr *fdb.Transaction) (interface{}, error) {
+	_, err = db.ReadTransact(context.Background(), func(_ context.Context, tr *fdb.Transaction) (interface{}, error) {
 		ctx := mkCtx(tr)
 		a, err := am.GetInt64(ctx, tuple.Tuple{"a"})
 		if err != nil {

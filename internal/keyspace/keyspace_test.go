@@ -2,6 +2,7 @@ package keyspace
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"recordlayer/internal/directory"
@@ -33,7 +34,7 @@ func cloudKitTree(t *testing.T) (*fdb.Database, *KeySpace) {
 func TestPathToTuple(t *testing.T) {
 	db, ks := cloudKitTree(t)
 	p := ks.MustPath("cloudkit").MustAdd("user", int64(42)).MustAdd("application", "com.example.notes").MustAdd("data")
-	v, err := db.Transact(func(tr *fdb.Transaction) (interface{}, error) {
+	v, err := db.Transact(context.Background(), func(_ context.Context, tr *fdb.Transaction) (interface{}, error) {
 		return p.ToTuple(tr)
 	})
 	if err != nil {
@@ -53,7 +54,7 @@ func TestInterningStableAcrossPaths(t *testing.T) {
 	db, ks := cloudKitTree(t)
 	get := func(user int64) tuple.Tuple {
 		p := ks.MustPath("cloudkit").MustAdd("user", user).MustAdd("application", "app.one").MustAdd("data")
-		v, err := db.Transact(func(tr *fdb.Transaction) (interface{}, error) { return p.ToTuple(tr) })
+		v, err := db.Transact(context.Background(), func(_ context.Context, tr *fdb.Transaction) (interface{}, error) { return p.ToTuple(tr) })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,7 +70,7 @@ func TestSiblingIsolation(t *testing.T) {
 	db, ks := cloudKitTree(t)
 	mk := func(user int64, dir string) subspace.Subspace {
 		p := ks.MustPath("cloudkit").MustAdd("user", user).MustAdd("application", "a").MustAdd(dir)
-		v, err := db.Transact(func(tr *fdb.Transaction) (interface{}, error) { return p.ToSubspace(tr) })
+		v, err := db.Transact(context.Background(), func(_ context.Context, tr *fdb.Transaction) (interface{}, error) { return p.ToSubspace(tr) })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,7 +144,7 @@ func TestPathString(t *testing.T) {
 func TestIntNormalization(t *testing.T) {
 	db, ks := cloudKitTree(t)
 	p := ks.MustPath("cloudkit").MustAdd("user", 42) // plain int
-	v, err := db.Transact(func(tr *fdb.Transaction) (interface{}, error) { return p.ToTuple(tr) })
+	v, err := db.Transact(context.Background(), func(_ context.Context, tr *fdb.Transaction) (interface{}, error) { return p.ToTuple(tr) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,13 +166,13 @@ func TestPathForTemplate(t *testing.T) {
 		MustAdd("user", int64(42)).
 		MustAdd("application", "com.example.notes").
 		MustAdd("data")
-	got, err := db.Transact(func(tr *fdb.Transaction) (interface{}, error) {
+	got, err := db.Transact(context.Background(), func(_ context.Context, tr *fdb.Transaction) (interface{}, error) {
 		return p.ToTuple(tr)
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantT, err := db.Transact(func(tr *fdb.Transaction) (interface{}, error) {
+	wantT, err := db.Transact(context.Background(), func(_ context.Context, tr *fdb.Transaction) (interface{}, error) {
 		return want.ToTuple(tr)
 	})
 	if err != nil {

@@ -1,6 +1,7 @@
 package kvcursor
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -12,7 +13,7 @@ import (
 func seeded(t *testing.T, n int) *fdb.Database {
 	t.Helper()
 	db := fdb.Open(nil)
-	_, err := db.Transact(func(tr *fdb.Transaction) (interface{}, error) {
+	_, err := db.Transact(context.Background(), func(_ context.Context, tr *fdb.Transaction) (interface{}, error) {
 		for i := 0; i < n; i++ {
 			if err := tr.Set([]byte(fmt.Sprintf("k%03d", i)), []byte(fmt.Sprintf("v%d", i))); err != nil {
 				return nil, err
@@ -31,7 +32,7 @@ func collect(t *testing.T, db *fdb.Database, opts Options, begin, end string) ([
 	var keys []string
 	var reason cursor.NoNextReason
 	var cont []byte
-	_, err := db.ReadTransact(func(tr *fdb.Transaction) (interface{}, error) {
+	_, err := db.ReadTransact(context.Background(), func(_ context.Context, tr *fdb.Transaction) (interface{}, error) {
 		c := New(tr, []byte(begin), []byte(end), opts)
 		kvs, r, cc, err := cursor.Collect(c)
 		if err != nil {
@@ -80,7 +81,7 @@ func TestSmallBatchesCoverAll(t *testing.T) {
 func TestContinuationForward(t *testing.T) {
 	db := seeded(t, 10)
 	var cont []byte
-	_, err := db.ReadTransact(func(tr *fdb.Transaction) (interface{}, error) {
+	_, err := db.ReadTransact(context.Background(), func(_ context.Context, tr *fdb.Transaction) (interface{}, error) {
 		c := New(tr, []byte("k"), []byte("l"), Options{})
 		for i := 0; i < 4; i++ {
 			r, err := c.Next()
@@ -103,7 +104,7 @@ func TestContinuationForward(t *testing.T) {
 func TestContinuationReverse(t *testing.T) {
 	db := seeded(t, 6)
 	var cont []byte
-	_, err := db.ReadTransact(func(tr *fdb.Transaction) (interface{}, error) {
+	_, err := db.ReadTransact(context.Background(), func(_ context.Context, tr *fdb.Transaction) (interface{}, error) {
 		c := New(tr, []byte("k"), []byte("l"), Options{Reverse: true})
 		r, err := c.Next()
 		if err != nil || string(r.Value.Key) != "k005" {

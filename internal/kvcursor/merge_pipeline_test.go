@@ -2,6 +2,7 @@ package kvcursor
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -24,7 +25,7 @@ func (o opaque) Next() (cursor.Result[fdb.KeyValue], error) { return o.inner.Nex
 // suffix divisible by 2 or 3; intersection every multiple of 6.
 func mergeSeed(t *testing.T, db *fdb.Database, n int) {
 	t.Helper()
-	_, err := db.Transact(func(tr *fdb.Transaction) (interface{}, error) {
+	_, err := db.Transact(context.Background(), func(_ context.Context, tr *fdb.Transaction) (interface{}, error) {
 		for i := 0; i < n; i++ {
 			if i%2 == 0 {
 				if err := tr.Set([]byte(fmt.Sprintf("a%03d", i)), []byte(fmt.Sprintf("av%d", i))); err != nil {
@@ -82,7 +83,7 @@ func runMerge(t *testing.T, db *fdb.Database, union, serial bool,
 		opts.Limiter = cursor.NewLimiter(scanLimit, 0, time.Time{}, nil)
 	}
 	var meter *resource.Meter
-	_, err := db.ReadTransact(func(tr *fdb.Transaction) (interface{}, error) {
+	_, err := db.ReadTransact(context.Background(), func(_ context.Context, tr *fdb.Transaction) (interface{}, error) {
 		meter = resource.NewAccountant().Tenant("t")
 		tr.SetMeter(meter)
 		defer func() { run.stats = tr.Stats() }()
@@ -260,7 +261,7 @@ func TestMergeStepSharesOneWindow(t *testing.T) {
 			kind = "union"
 		}
 		db := fdb.Open(&fdb.Options{Latency: fdb.LatencyModel{PerRead: window, Virtual: true}})
-		_, err := db.Transact(func(tr *fdb.Transaction) (interface{}, error) {
+		_, err := db.Transact(context.Background(), func(_ context.Context, tr *fdb.Transaction) (interface{}, error) {
 			for i := 0; i < n; i++ {
 				if err := tr.Set([]byte(fmt.Sprintf("a%03d", i)), []byte("x")); err != nil {
 					return nil, err
@@ -276,7 +277,7 @@ func TestMergeStepSharesOneWindow(t *testing.T) {
 		}
 		wait := func(serial bool) int64 {
 			var w int64
-			_, err := db.ReadTransact(func(tr *fdb.Transaction) (interface{}, error) {
+			_, err := db.ReadTransact(context.Background(), func(_ context.Context, tr *fdb.Transaction) (interface{}, error) {
 				opts := Options{BatchSize: 1, MaxBatchSize: 1, noReadAhead: true}
 				builders := mergeBuilders(tr, opts, serial)
 				var c cursor.Cursor[fdb.KeyValue]

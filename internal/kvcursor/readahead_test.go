@@ -1,6 +1,7 @@
 package kvcursor
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -57,7 +58,7 @@ func TestReadAheadEquivalence(t *testing.T) {
 				if tc.lim != nil {
 					opts.Limiter = tc.lim()
 				}
-				_, err := db.ReadTransact(func(tr *fdb.Transaction) (interface{}, error) {
+				_, err := db.ReadTransact(context.Background(), func(_ context.Context, tr *fdb.Transaction) (interface{}, error) {
 					pairs, conts, reason, cont = drainPairs(t, tr, opts, "k", "l")
 					return nil, nil
 				})
@@ -109,7 +110,7 @@ func TestReadAheadOverlapsLatency(t *testing.T) {
 	const window = time.Millisecond
 	const n, batch = 64, 4
 	db := fdb.Open(&fdb.Options{Latency: fdb.LatencyModel{PerRead: window, Virtual: true}})
-	_, err := db.Transact(func(tr *fdb.Transaction) (interface{}, error) {
+	_, err := db.Transact(context.Background(), func(_ context.Context, tr *fdb.Transaction) (interface{}, error) {
 		for i := 0; i < n; i++ {
 			if err := tr.Set([]byte(fmt.Sprintf("k%03d", i)), []byte("v")); err != nil {
 				return nil, err
@@ -122,7 +123,7 @@ func TestReadAheadOverlapsLatency(t *testing.T) {
 	}
 	wait := func(noRA bool) int64 {
 		var w int64
-		_, err := db.ReadTransact(func(tr *fdb.Transaction) (interface{}, error) {
+		_, err := db.ReadTransact(context.Background(), func(_ context.Context, tr *fdb.Transaction) (interface{}, error) {
 			c := New(tr, []byte("k"), []byte("l"), Options{BatchSize: batch, MaxBatchSize: batch, noReadAhead: noRA})
 			for {
 				r, err := c.Next()

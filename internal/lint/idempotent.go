@@ -3,13 +3,16 @@ package lint
 import (
 	"go/ast"
 	"go/token"
+	"go/types"
 	"strings"
 )
 
 // Idempotent enforces the maybe-committed contract: RunIdempotent and
 // TransactIdempotent retry commit_unknown_result, which double-applies any
-// non-idempotent closure when the unknown commit actually landed. The promise
-// cannot be checked mechanically, so every call site must carry a reasoned
+// non-idempotent closure when the unknown commit actually landed. So does
+// passing fdb.ModeIdempotent to the retry loop (Database.Retry) directly. The
+// promise cannot be checked mechanically, so every call site — and every use
+// of fdb.ModeIdempotent outside package fdb — must carry a reasoned
 //
 //	//rl:idempotent <why re-running a committed attempt is safe>
 //
@@ -17,18 +20,21 @@ import (
 // rule as lint:allow. A directive with no reason is itself a finding.
 var Idempotent = &Analyzer{
 	Name: "idempotent",
-	Doc:  "RunIdempotent/TransactIdempotent call sites must justify the idempotency promise with //rl:idempotent <reason>",
+	Doc:  "RunIdempotent/TransactIdempotent call sites and fdb.ModeIdempotent uses must justify the idempotency promise with //rl:idempotent <reason>",
 	Run:  runIdempotent,
 }
 
 const idempotentPrefix = "//rl:idempotent"
 
-// idempotentRunners maps receiver types to the methods that retry
-// maybe-committed commits under the caller's idempotency promise.
+// idempotentRunners maps receiver types to the entry points that retry
+// maybe-committed commits under the caller's idempotency promise: the
+// Runner's for foreground requests, the Database's for background work.
 var idempotentRunners = map[[2]string]map[string]bool{
-	{"recordlayer", "Runner"}:                {"RunIdempotent": true},
-	{"recordlayer/internal/fdb", "Database"}: {"TransactIdempotent": true},
+	{"recordlayer", "Runner"}: {"RunIdempotent": true},
+	{fdbPath, "Database"}:     {"TransactIdempotent": true},
 }
+
+const fdbPath = "recordlayer/internal/fdb"
 
 func runIdempotent(p *Pass) error {
 	for _, f := range p.Files {
@@ -36,7 +42,24 @@ func runIdempotent(p *Pass) error {
 			continue
 		}
 		reasons, bare := idempotentDirectives(p.Fset, f)
+		justified := func(pos token.Pos, what string) {
+			line := p.Fset.Position(pos).Line
+			switch {
+			case reasons[line] || reasons[line-1]:
+			case bare[line] || bare[line-1]:
+				p.Reportf(pos, "%s's rl:idempotent directive carries no reason — say why re-running a committed attempt is safe", what)
+			default:
+				p.Reportf(pos, "%s retries maybe-committed transactions under an idempotency promise; justify it with //rl:idempotent <reason> on this line or the line above", what)
+			}
+		}
 		ast.Inspect(f, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok && p.Path != fdbPath {
+				if c, ok := p.Info.Uses[sel.Sel].(*types.Const); ok && c.Pkg() != nil &&
+					c.Pkg().Path() == fdbPath && c.Name() == "ModeIdempotent" {
+					justified(sel.Pos(), "fdb.ModeIdempotent")
+				}
+				return true
+			}
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
 				return true
@@ -53,15 +76,7 @@ func runIdempotent(p *Pass) error {
 			if methods == nil || !methods[fn.Name()] {
 				return true
 			}
-			line := p.Fset.Position(call.Pos()).Line
-			if reasons[line] || reasons[line-1] {
-				return true
-			}
-			if bare[line] || bare[line-1] {
-				p.Reportf(call.Pos(), "%s's rl:idempotent directive carries no reason — say why re-running a committed attempt is safe", fn.Name())
-				return true
-			}
-			p.Reportf(call.Pos(), "%s retries maybe-committed transactions under an idempotency promise; justify it with //rl:idempotent <reason> on this line or the line above", fn.Name())
+			justified(call.Pos(), fn.Name())
 			return true
 		})
 	}

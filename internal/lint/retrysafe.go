@@ -6,24 +6,19 @@ import (
 	"go/types"
 )
 
-// RetrySafe checks the classic FDB retry-loop hazard: a closure passed to
-// Runner.Run/ReadRun or Database.Transact/ReadTransact re-executes after a
-// conflict, so accumulating into state captured from outside the closure —
-// append-to-self on a captured slice, ++/op= on a captured counter, writes
-// into a captured map — double-counts on retry. A closure that resets the
-// variable inside itself (x = nil, x = x[:0], x = 0, x = make(...), clear(m))
-// is idempotent and passes.
+// RetrySafe checks the classic FDB retry-loop hazard: a closure that reaches
+// the retry loop re-executes after a conflict, so accumulating into state
+// captured from outside the closure — append-to-self on a captured slice,
+// ++/op= on a captured counter, writes into a captured map — double-counts on
+// retry. Every func literal passed where the parameter type is
+// fdb.TransactFunc is checked: Runner.Run/ReadRun, Database.Transact and
+// ReadTransact, and any helper that forwards its closure to them. A closure
+// that resets the variable inside itself (x = nil, x = x[:0], x = 0,
+// x = make(...), clear(m)) is idempotent and passes.
 var RetrySafe = &Analyzer{
 	Name: "retrysafe",
 	Doc:  "transactional closures must not accumulate into captured state — retries re-run the closure",
 	Run:  runRetrySafe,
-}
-
-// retryRunners maps receiver types to the method names whose final func
-// argument is a retried transactional closure.
-var retryRunners = map[[2]string]map[string]bool{
-	{"recordlayer", "Runner"}:                {"Run": true, "ReadRun": true},
-	{"recordlayer/internal/fdb", "Database"}: {"Transact": true, "ReadTransact": true},
 }
 
 func runRetrySafe(p *Pass) error {
@@ -36,20 +31,13 @@ func runRetrySafe(p *Pass) error {
 			if !ok {
 				return true
 			}
-			fn := calleeFunc(p.Info, call)
-			if fn == nil {
+			sig, ok := p.Info.Types[call.Fun].Type.(*types.Signature)
+			if !ok {
 				return true
 			}
-			named := namedRecv(fn)
-			if named == nil || named.Obj().Pkg() == nil {
-				return true
-			}
-			methods := retryRunners[[2]string{named.Obj().Pkg().Path(), named.Obj().Name()}]
-			if methods == nil || !methods[fn.Name()] {
-				return true
-			}
-			for _, arg := range call.Args {
-				if lit, ok := ast.Unparen(arg).(*ast.FuncLit); ok {
+			for i, arg := range call.Args {
+				lit, ok := ast.Unparen(arg).(*ast.FuncLit)
+				if ok && i < sig.Params().Len() && isTransactFunc(sig.Params().At(i).Type()) {
 					checkRetryClosure(p, lit)
 				}
 			}
@@ -57,6 +45,16 @@ func runRetrySafe(p *Pass) error {
 		})
 	}
 	return nil
+}
+
+// isTransactFunc reports whether t is fdb.TransactFunc, the closure type the
+// retry loop runs.
+func isTransactFunc(t types.Type) bool {
+	named, ok := types.Unalias(t).(*types.Named)
+	if !ok || named.Obj().Pkg() == nil {
+		return false
+	}
+	return named.Obj().Pkg().Path() == fdbPath && named.Obj().Name() == "TransactFunc"
 }
 
 // violation is one non-idempotent mutation of a captured variable.

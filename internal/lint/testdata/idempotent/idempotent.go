@@ -17,8 +17,8 @@ func unjustifiedRun(ctx context.Context, r *recordlayer.Runner) {
 }
 
 // unjustifiedTransact: the same hazard through the lower-level database call.
-func unjustifiedTransact(db *fdb.Database) {
-	db.TransactIdempotent(func(tr *fdb.Transaction) (interface{}, error) { // want "justify it with //rl:idempotent"
+func unjustifiedTransact(ctx context.Context, db *fdb.Database) {
+	db.TransactIdempotent(ctx, func(ctx context.Context, tr *fdb.Transaction) (interface{}, error) { // want "justify it with //rl:idempotent"
 		return nil, tr.Set([]byte("k"), []byte("v"))
 	})
 }
@@ -40,8 +40,8 @@ func justifiedAbove(ctx context.Context, r *recordlayer.Runner) {
 }
 
 // justifiedTrailing: a reasoned directive on the call line passes.
-func justifiedTrailing(db *fdb.Database) {
-	db.TransactIdempotent(func(tr *fdb.Transaction) (interface{}, error) { //rl:idempotent blind overwrite of a fixed key converges on re-run
+func justifiedTrailing(ctx context.Context, db *fdb.Database) {
+	db.TransactIdempotent(ctx, func(ctx context.Context, tr *fdb.Transaction) (interface{}, error) { //rl:idempotent blind overwrite of a fixed key converges on re-run
 		return nil, tr.Set([]byte("k"), []byte("v"))
 	})
 }
@@ -52,7 +52,19 @@ func plainRun(ctx context.Context, r *recordlayer.Runner, db *fdb.Database) {
 	r.Run(ctx, func(ctx context.Context, tr *fdb.Transaction) (interface{}, error) {
 		return nil, tr.Set([]byte("k"), []byte("v"))
 	})
-	db.Transact(func(tr *fdb.Transaction) (interface{}, error) {
+	db.Transact(ctx, func(ctx context.Context, tr *fdb.Transaction) (interface{}, error) {
+		return nil, tr.Set([]byte("k"), []byte("v"))
+	})
+}
+
+// loopDirect: handing fdb.ModeIdempotent to the retry loop directly makes the
+// same promise and needs the same justification.
+func loopDirect(ctx context.Context, db *fdb.Database, p *fdb.Policy) {
+	db.Retry(ctx, p, nil, fdb.ModeIdempotent, func(ctx context.Context, tr *fdb.Transaction) (interface{}, error) { // want "fdb.ModeIdempotent retries maybe-committed"
+		return nil, tr.Set([]byte("k"), []byte("v"))
+	})
+	//rl:idempotent blind overwrite of a fixed key converges on re-run
+	db.Retry(ctx, p, nil, fdb.ModeIdempotent, func(ctx context.Context, tr *fdb.Transaction) (interface{}, error) {
 		return nil, tr.Set([]byte("k"), []byte("v"))
 	})
 }

@@ -30,14 +30,38 @@ func conflictRetryAppend(ctx context.Context, r *recordlayer.Runner) {
 	_, _, _, _ = loaded, attempts, total, seen
 }
 
-// transactAppend: the same hazard through the lower-level Database.Transact.
-func transactAppend(db *fdb.Database) {
+// transactAppend: the same hazard through the background Database.Transact.
+func transactAppend(ctx context.Context, db *fdb.Database) {
 	var keys [][]byte
-	db.Transact(func(tr *fdb.Transaction) (interface{}, error) {
+	db.Transact(ctx, func(ctx context.Context, tr *fdb.Transaction) (interface{}, error) {
 		keys = append(keys, []byte("x")) // want "appends to captured keys"
 		return nil, nil
 	})
 	_ = keys
+}
+
+// withStore is a helper that forwards its closure to the retry loop; the
+// closure's fdb.TransactFunc parameter type is what marks it as retried.
+func withStore(ctx context.Context, r *recordlayer.Runner, fn recordlayer.TransactFunc) error {
+	_, err := r.Run(ctx, fn)
+	return err
+}
+
+// helperAppend: a closure reaching the loop through a helper re-runs too.
+func helperAppend(ctx context.Context, r *recordlayer.Runner) {
+	saved := 0
+	_ = withStore(ctx, r, func(ctx context.Context, tr *fdb.Transaction) (interface{}, error) {
+		saved++ // want "increments captured saved"
+		return nil, tr.Set([]byte("k"), []byte("v"))
+	})
+	_ = saved
+}
+
+// plainCallback: a func literal whose parameter is not fdb.TransactFunc is
+// not a transactional closure — no findings.
+func plainCallback(each func(func()), n int) {
+	each(func() { n++ })
+	_ = n
 }
 
 // resetInside: resetting the captured state at the top of the closure makes

@@ -1,6 +1,7 @@
 package metadata
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -261,14 +262,14 @@ func TestMetaDataStore(t *testing.T) {
 	ms := NewStore(subspace.FromBytes([]byte{0xFD}))
 	v1 := baseSchema(t)
 
-	_, err := db.Transact(func(tr *fdb.Transaction) (interface{}, error) {
+	_, err := db.Transact(context.Background(), func(_ context.Context, tr *fdb.Transaction) (interface{}, error) {
 		return nil, ms.Save(tr, v1)
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	_, err = db.ReadTransact(func(tr *fdb.Transaction) (interface{}, error) {
+	_, err = db.ReadTransact(context.Background(), func(_ context.Context, tr *fdb.Transaction) (interface{}, error) {
 		got, err := ms.LoadCurrent(tr)
 		if err != nil {
 			return nil, err
@@ -283,7 +284,7 @@ func TestMetaDataStore(t *testing.T) {
 	}
 
 	// Saving the same version again must fail; a lower version too.
-	_, err = db.Transact(func(tr *fdb.Transaction) (interface{}, error) {
+	_, err = db.Transact(context.Background(), func(_ context.Context, tr *fdb.Transaction) (interface{}, error) {
 		return nil, ms.Save(tr, v1)
 	})
 	if err == nil {
@@ -306,13 +307,13 @@ func TestMetaDataStore(t *testing.T) {
 		AddIndex(&Index{Name: "score_sum", Type: IndexSum,
 			Expression: keyexpr.Ungrouped(keyexpr.Field("score")), AddedVersion: 1}, "User").
 		MustBuild()
-	_, err = db.Transact(func(tr *fdb.Transaction) (interface{}, error) {
+	_, err = db.Transact(context.Background(), func(_ context.Context, tr *fdb.Transaction) (interface{}, error) {
 		return nil, ms.Save(tr, v2)
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = db.ReadTransact(func(tr *fdb.Transaction) (interface{}, error) {
+	_, err = db.ReadTransact(context.Background(), func(_ context.Context, tr *fdb.Transaction) (interface{}, error) {
 		if v, _ := ms.CurrentVersion(tr); v != 2 {
 			t.Errorf("current version %d", v)
 		}
@@ -330,7 +331,7 @@ func TestMetaDataStore(t *testing.T) {
 		AddRecordType(userDescriptor(), keyexpr.Field("name")). // PK change
 		AddRecordType(orderDescriptor(), keyexpr.Then(keyexpr.RecordType(), keyexpr.Field("id"))).
 		MustBuild()
-	_, err = db.Transact(func(tr *fdb.Transaction) (interface{}, error) {
+	_, err = db.Transact(context.Background(), func(_ context.Context, tr *fdb.Transaction) (interface{}, error) {
 		return nil, ms.Save(tr, bad)
 	})
 	if err == nil {

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -50,7 +51,7 @@ func newCoveringEnv(t testing.TB) *planEnv {
 		{5, "erin", 34, "paris", []string{"chess", "go"}},
 		{6, "frank", 52, "berlin", []string{"art", "eng"}},
 	}
-	_, err := env.db.Transact(func(tr *fdb.Transaction) (interface{}, error) {
+	_, err := env.db.Transact(context.Background(), func(_ context.Context, tr *fdb.Transaction) (interface{}, error) {
 		s, err := core.Open(tr, env.md, env.sp, core.OpenOptions{CreateIfMissing: true})
 		if err != nil {
 			return nil, err
@@ -80,7 +81,7 @@ func (env *planEnv) collectRecords(t testing.TB, p Plan, opts ExecuteOptions) ([
 	var recs []*core.StoredRecord
 	var reason cursor.NoNextReason
 	var cont []byte
-	_, err := env.db.ReadTransact(func(tr *fdb.Transaction) (interface{}, error) {
+	_, err := env.db.ReadTransact(context.Background(), func(_ context.Context, tr *fdb.Transaction) (interface{}, error) {
 		s, err := core.Open(tr, env.md, env.sp, core.OpenOptions{})
 		if err != nil {
 			return nil, err

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -70,7 +71,7 @@ func newPlanEnvOn(t testing.TB, db *fdb.Database) *planEnv {
 		{5, "erin", 34, "paris", []string{"chess", "go"}},
 		{6, "frank", 52, "berlin", []string{"art", "eng"}},
 	}
-	_, err := env.db.Transact(func(tr *fdb.Transaction) (interface{}, error) {
+	_, err := env.db.Transact(context.Background(), func(_ context.Context, tr *fdb.Transaction) (interface{}, error) {
 		s, err := core.Open(tr, env.md, env.sp, core.OpenOptions{CreateIfMissing: true})
 		if err != nil {
 			return nil, err
@@ -99,7 +100,7 @@ func (env *planEnv) run(t testing.TB, p Plan, opts ExecuteOptions) ([]int64, cur
 	var ids []int64
 	var reason cursor.NoNextReason
 	var cont []byte
-	_, err := env.db.ReadTransact(func(tr *fdb.Transaction) (interface{}, error) {
+	_, err := env.db.ReadTransact(context.Background(), func(_ context.Context, tr *fdb.Transaction) (interface{}, error) {
 		s, err := core.Open(tr, env.md, env.sp, core.OpenOptions{})
 		if err != nil {
 			return nil, err
@@ -447,7 +448,7 @@ func TestPlanContinuationAcrossExecutions(t *testing.T) {
 	// cursor.Limit at the call site, as clients do.
 	var cont []byte
 	var first []int64
-	_, err = env.db.ReadTransact(func(tr *fdb.Transaction) (interface{}, error) {
+	_, err = env.db.ReadTransact(context.Background(), func(_ context.Context, tr *fdb.Transaction) (interface{}, error) {
 		s, err := core.Open(tr, env.md, env.sp, core.OpenOptions{})
 		if err != nil {
 			return nil, err

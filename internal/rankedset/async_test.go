@@ -1,6 +1,7 @@
 package rankedset
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -15,7 +16,7 @@ import (
 func dumpAll(t *testing.T, db *fdb.Database) []string {
 	t.Helper()
 	var out []string
-	_, err := db.ReadTransact(func(tr *fdb.Transaction) (interface{}, error) {
+	_, err := db.ReadTransact(context.Background(), func(_ context.Context, tr *fdb.Transaction) (interface{}, error) {
 		kvs, _, err := tr.Snapshot().GetRange([]byte{0x00}, []byte{0xFF, 0xFF, 0xFF}, fdb.RangeOptions{})
 		if err != nil {
 			return nil, err
@@ -41,7 +42,7 @@ type setOp struct {
 func runSerial(t *testing.T, db *fdb.Database, rs *RankedSet, ops []setOp) []bool {
 	t.Helper()
 	changed := make([]bool, len(ops))
-	_, err := db.Transact(func(tr *fdb.Transaction) (interface{}, error) {
+	_, err := db.Transact(context.Background(), func(_ context.Context, tr *fdb.Transaction) (interface{}, error) {
 		if err := rs.Init(tr); err != nil {
 			return nil, err
 		}
@@ -69,7 +70,7 @@ func runSerial(t *testing.T, db *fdb.Database, rs *RankedSet, ops []setOp) []boo
 func runBatched(t *testing.T, db *fdb.Database, rs *RankedSet, ops []setOp) []bool {
 	t.Helper()
 	changed := make([]bool, len(ops))
-	_, err := db.Transact(func(tr *fdb.Transaction) (interface{}, error) {
+	_, err := db.Transact(context.Background(), func(_ context.Context, tr *fdb.Transaction) (interface{}, error) {
 		if err := rs.Init(tr); err != nil {
 			return nil, err
 		}
@@ -106,7 +107,7 @@ func compareRuns(t *testing.T, cfg *Config, seed []string, ops []setOp) {
 	mk := func() (*fdb.Database, *RankedSet) {
 		db := fdb.Open(nil)
 		rs := New(subspace.FromTuple(tuple.Tuple{"rank"}), cfg)
-		_, err := db.Transact(func(tr *fdb.Transaction) (interface{}, error) {
+		_, err := db.Transact(context.Background(), func(_ context.Context, tr *fdb.Transaction) (interface{}, error) {
 			if err := rs.Init(tr); err != nil {
 				return nil, err
 			}
@@ -206,7 +207,7 @@ func TestAsyncBatchSharesWindow(t *testing.T) {
 		db := fdb.Open(&fdb.Options{Latency: fdb.LatencyModel{PerRead: window, Virtual: true}})
 		rs := New(subspace.FromTuple(tuple.Tuple{"rank"}), nil)
 		var waited int64
-		_, err := db.Transact(func(tr *fdb.Transaction) (interface{}, error) {
+		_, err := db.Transact(context.Background(), func(_ context.Context, tr *fdb.Transaction) (interface{}, error) {
 			if err := rs.Init(tr); err != nil {
 				return nil, err
 			}

@@ -1,6 +1,7 @@
 package rankedset
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -15,7 +16,7 @@ func newSet(t *testing.T, cfg *Config) (*fdb.Database, *RankedSet) {
 	t.Helper()
 	db := fdb.Open(nil)
 	rs := New(subspace.FromTuple(tuple.Tuple{"rank"}), cfg)
-	_, err := db.Transact(func(tr *fdb.Transaction) (interface{}, error) {
+	_, err := db.Transact(context.Background(), func(_ context.Context, tr *fdb.Transaction) (interface{}, error) {
 		return nil, rs.Init(tr)
 	})
 	if err != nil {
@@ -27,7 +28,7 @@ func newSet(t *testing.T, cfg *Config) (*fdb.Database, *RankedSet) {
 func insert(t *testing.T, db *fdb.Database, rs *RankedSet, keys ...string) {
 	t.Helper()
 	for _, k := range keys {
-		_, err := db.Transact(func(tr *fdb.Transaction) (interface{}, error) {
+		_, err := db.Transact(context.Background(), func(_ context.Context, tr *fdb.Transaction) (interface{}, error) {
 			return rs.Insert(tr, []byte(k))
 		})
 		if err != nil {
@@ -40,7 +41,7 @@ func rankOf(t *testing.T, db *fdb.Database, rs *RankedSet, key string) (int64, b
 	t.Helper()
 	var r int64
 	var ok bool
-	_, err := db.ReadTransact(func(tr *fdb.Transaction) (interface{}, error) {
+	_, err := db.ReadTransact(context.Background(), func(_ context.Context, tr *fdb.Transaction) (interface{}, error) {
 		var err error
 		r, ok, err = rs.Rank(tr, []byte(key))
 		return nil, err
@@ -87,7 +88,7 @@ func TestFigure5(t *testing.T) {
 	}
 
 	// Figure 5(a): level-1 fingers are a/1, b/2, d/3; level 2 is a/6.
-	_, err := db.ReadTransact(func(tr *fdb.Transaction) (interface{}, error) {
+	_, err := db.ReadTransact(context.Background(), func(_ context.Context, tr *fdb.Transaction) (interface{}, error) {
 		checks := []struct {
 			level int
 			key   string
@@ -122,7 +123,7 @@ func TestFigure5InsertOrderIndependent(t *testing.T) {
 func TestSelect(t *testing.T) {
 	db, rs := newSet(t, figure5Config())
 	insert(t, db, rs, "a", "b", "c", "d", "e", "f")
-	_, err := db.ReadTransact(func(tr *fdb.Transaction) (interface{}, error) {
+	_, err := db.ReadTransact(context.Background(), func(_ context.Context, tr *fdb.Transaction) (interface{}, error) {
 		for i, want := range []string{"a", "b", "c", "d", "e", "f"} {
 			got, ok, err := rs.Select(tr, int64(i))
 			if err != nil {
@@ -148,7 +149,7 @@ func TestSelect(t *testing.T) {
 func TestDelete(t *testing.T) {
 	db, rs := newSet(t, figure5Config())
 	insert(t, db, rs, "a", "b", "c", "d", "e", "f")
-	_, err := db.Transact(func(tr *fdb.Transaction) (interface{}, error) {
+	_, err := db.Transact(context.Background(), func(_ context.Context, tr *fdb.Transaction) (interface{}, error) {
 		return rs.Delete(tr, []byte("c"))
 	})
 	if err != nil {
@@ -161,7 +162,7 @@ func TestDelete(t *testing.T) {
 		t.Fatal("deleted element still ranked")
 	}
 	// Delete a promoted element (b is on level 1).
-	_, err = db.Transact(func(tr *fdb.Transaction) (interface{}, error) {
+	_, err = db.Transact(context.Background(), func(_ context.Context, tr *fdb.Transaction) (interface{}, error) {
 		return rs.Delete(tr, []byte("b"))
 	})
 	if err != nil {
@@ -171,7 +172,7 @@ func TestDelete(t *testing.T) {
 		t.Fatalf("rank(f) after deletes: %d", r)
 	}
 	var size int64
-	_, _ = db.ReadTransact(func(tr *fdb.Transaction) (interface{}, error) {
+	_, _ = db.ReadTransact(context.Background(), func(_ context.Context, tr *fdb.Transaction) (interface{}, error) {
 		var err error
 		size, err = rs.Size(tr)
 		return nil, err
@@ -183,13 +184,13 @@ func TestDelete(t *testing.T) {
 
 func TestInsertIdempotent(t *testing.T) {
 	db, rs := newSet(t, nil)
-	v, err := db.Transact(func(tr *fdb.Transaction) (interface{}, error) {
+	v, err := db.Transact(context.Background(), func(_ context.Context, tr *fdb.Transaction) (interface{}, error) {
 		return rs.Insert(tr, []byte("x"))
 	})
 	if err != nil || v.(bool) != true {
 		t.Fatalf("first insert: %v %v", v, err)
 	}
-	v, err = db.Transact(func(tr *fdb.Transaction) (interface{}, error) {
+	v, err = db.Transact(context.Background(), func(_ context.Context, tr *fdb.Transaction) (interface{}, error) {
 		return rs.Insert(tr, []byte("x"))
 	})
 	if err != nil || v.(bool) != false {
@@ -203,7 +204,7 @@ func TestInsertIdempotent(t *testing.T) {
 func TestCountLessNonMember(t *testing.T) {
 	db, rs := newSet(t, nil)
 	insert(t, db, rs, "b", "d", "f")
-	_, err := db.ReadTransact(func(tr *fdb.Transaction) (interface{}, error) {
+	_, err := db.ReadTransact(context.Background(), func(_ context.Context, tr *fdb.Transaction) (interface{}, error) {
 		for _, c := range []struct {
 			key  string
 			want int64
@@ -233,7 +234,7 @@ func TestRandomizedAgainstModel(t *testing.T) {
 	for step := 0; step < 400; step++ {
 		k := fmt.Sprintf("key%04d", rng.Intn(300))
 		if rng.Intn(3) == 0 {
-			_, err := db.Transact(func(tr *fdb.Transaction) (interface{}, error) {
+			_, err := db.Transact(context.Background(), func(_ context.Context, tr *fdb.Transaction) (interface{}, error) {
 				return rs.Delete(tr, []byte(k))
 			})
 			if err != nil {
@@ -241,7 +242,7 @@ func TestRandomizedAgainstModel(t *testing.T) {
 			}
 			delete(model, k)
 		} else {
-			_, err := db.Transact(func(tr *fdb.Transaction) (interface{}, error) {
+			_, err := db.Transact(context.Background(), func(_ context.Context, tr *fdb.Transaction) (interface{}, error) {
 				return rs.Insert(tr, []byte(k))
 			})
 			if err != nil {
@@ -258,7 +259,7 @@ func TestRandomizedAgainstModel(t *testing.T) {
 			sorted = append(sorted, m)
 		}
 		sort.Strings(sorted)
-		_, err := db.ReadTransact(func(tr *fdb.Transaction) (interface{}, error) {
+		_, err := db.ReadTransact(context.Background(), func(_ context.Context, tr *fdb.Transaction) (interface{}, error) {
 			size, err := rs.Size(tr)
 			if err != nil {
 				return nil, err
@@ -314,7 +315,7 @@ func TestConcurrentInsertsDistinctKeys(t *testing.T) {
 	if err2 != nil {
 		// A retryable conflict is permitted (e.g. both split the same
 		// finger); retry must succeed and preserve correctness.
-		_, err := db.Transact(func(tr *fdb.Transaction) (interface{}, error) {
+		_, err := db.Transact(context.Background(), func(_ context.Context, tr *fdb.Transaction) (interface{}, error) {
 			return rs.Insert(tr, []byte("omega"))
 		})
 		if err != nil {
@@ -332,7 +333,7 @@ func TestConcurrentInsertsDistinctKeys(t *testing.T) {
 func TestClear(t *testing.T) {
 	db, rs := newSet(t, nil)
 	insert(t, db, rs, "a", "b")
-	_, err := db.Transact(func(tr *fdb.Transaction) (interface{}, error) {
+	_, err := db.Transact(context.Background(), func(_ context.Context, tr *fdb.Transaction) (interface{}, error) {
 		return nil, rs.Clear(tr)
 	})
 	if err != nil {

@@ -156,11 +156,11 @@ func TestByteQuotaConfiguredAfterMeterExists(t *testing.T) {
 	// Same flow through a LimitsStore reload.
 	db := fdb.Open(nil)
 	store := NewLimitsStore(db, subspace.FromTuple(tuple.Tuple{"t"}))
-	if err := store.Set("late2", Limits{BytesPerSecond: 1000, ByteBurst: 500}); err != nil {
+	if err := store.Set(context.Background(), "late2", Limits{BytesPerSecond: 1000, ByteBurst: 500}); err != nil {
 		t.Fatal(err)
 	}
 	acct.Tenant("late2").RecordWrite(1, 1) // meter exists before the reload
-	if _, err := g.LoadLimits(store); err != nil {
+	if _, err := g.LoadLimits(context.Background(), store); err != nil {
 		t.Fatal(err)
 	}
 	acct.Tenant("late2").RecordRead(10, 600)
@@ -183,24 +183,24 @@ func TestLimitsStoreRoundTrip(t *testing.T) {
 		MaxConcurrent:  7,
 		Weight:         2,
 	}
-	if err := s.Set("acme", want); err != nil {
+	if err := s.Set(context.Background(), "acme", want); err != nil {
 		t.Fatal(err)
 	}
-	got, ok, err := s.Get("acme")
+	got, ok, err := s.Get(context.Background(), "acme")
 	if err != nil || !ok {
 		t.Fatalf("Get = %v, %v, %v", got, ok, err)
 	}
 	if got != want {
 		t.Errorf("round trip: got %+v, want %+v", got, want)
 	}
-	if _, ok, err := s.Get("missing"); ok || err != nil {
+	if _, ok, err := s.Get(context.Background(), "missing"); ok || err != nil {
 		t.Errorf("missing tenant: ok=%v err=%v", ok, err)
 	}
 
-	if err := s.Set("beta", Limits{TxnPerSecond: 1}); err != nil {
+	if err := s.Set(context.Background(), "beta", Limits{TxnPerSecond: 1}); err != nil {
 		t.Fatal(err)
 	}
-	all, err := s.All()
+	all, err := s.All(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,10 +208,10 @@ func TestLimitsStoreRoundTrip(t *testing.T) {
 		t.Errorf("All = %+v", all)
 	}
 
-	if err := s.Delete("acme"); err != nil {
+	if err := s.Delete(context.Background(), "acme"); err != nil {
 		t.Fatal(err)
 	}
-	if all, err = s.All(); err != nil || len(all) != 1 {
+	if all, err = s.All(context.Background()); err != nil || len(all) != 1 {
 		t.Errorf("after delete: %+v, %v", all, err)
 	}
 }
@@ -223,7 +223,7 @@ func TestLoadLimitsAcrossGovernors(t *testing.T) {
 	db := fdb.Open(nil)
 	store := NewLimitsStore(db, subspace.FromTuple(tuple.Tuple{"test", "limits"}))
 	want := Limits{TxnPerSecond: 10, Burst: 2}
-	if err := store.Set("hot", want); err != nil {
+	if err := store.Set(context.Background(), "hot", want); err != nil {
 		t.Fatal(err)
 	}
 
@@ -231,7 +231,7 @@ func TestLoadLimitsAcrossGovernors(t *testing.T) {
 	a := NewGovernor(nil, GovernorOptions{Clock: clock.Now})
 	b := NewGovernor(nil, GovernorOptions{Clock: clock.Now})
 	for _, g := range []*Governor{a, b} {
-		n, err := g.LoadLimits(store)
+		n, err := g.LoadLimits(context.Background(), store)
 		if err != nil || n != 1 {
 			t.Fatalf("LoadLimits = %d, %v", n, err)
 		}
@@ -255,10 +255,10 @@ func TestLoadLimitsAcrossGovernors(t *testing.T) {
 	}
 
 	// A reload with the row deleted reverts the live tenant to defaults.
-	if err := store.Delete("hot"); err != nil {
+	if err := store.Delete(context.Background(), "hot"); err != nil {
 		t.Fatal(err)
 	}
-	if n, err := a.LoadLimits(store); err != nil || n != 0 {
+	if n, err := a.LoadLimits(context.Background(), store); err != nil || n != 0 {
 		t.Fatalf("reload = %d, %v", n, err)
 	}
 	if l := a.LimitsFor("hot"); l != (Limits{}) {

@@ -416,8 +416,8 @@ func (g *Governor) Leases() map[string]Limits {
 // stateless servers sharing one LimitsStore enforces identical quotas with
 // no in-process SetLimits calls. Tenants absent from the store revert to
 // DefaultLimits. Returns the number of tenants configured.
-func (g *Governor) LoadLimits(store *LimitsStore) (int, error) {
-	all, err := store.All()
+func (g *Governor) LoadLimits(ctx context.Context, store *LimitsStore) (int, error) {
+	all, err := store.All(ctx)
 	if err != nil {
 		return 0, err
 	}
@@ -485,7 +485,7 @@ func (g *Governor) WatchLimits(ctx context.Context, store *LimitsStore, interval
 		case <-ctx.Done():
 			return
 		case <-t.C:
-			_, _ = g.LoadLimits(store)
+			_, _ = g.LoadLimits(ctx, store)
 		}
 	}
 }

@@ -15,6 +15,7 @@
 package lease
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"time"
@@ -144,11 +145,11 @@ func (s *Store) key(tenant, server string) []byte {
 //
 // Resources with no global rate (<= 0, unlimited) are not leased; the
 // returned Slice reports 0 for them.
-func (s *Store) Claim(tenant, server string, globalTxn, globalBytes float64, d Demand, now time.Time, ttl time.Duration) (Slice, error) {
+func (s *Store) Claim(ctx context.Context, tenant, server string, globalTxn, globalBytes float64, d Demand, now time.Time, ttl time.Duration) (Slice, error) {
 	if ttl <= 0 {
 		ttl = 10 * time.Second
 	}
-	v, err := s.db.Transact(func(tr *fdb.Transaction) (interface{}, error) {
+	v, err := s.db.Transact(ctx, func(ctx context.Context, tr *fdb.Transaction) (interface{}, error) {
 		rows, err := s.tenantRowsLocked(tr, tenant, now, true)
 		if err != nil {
 			return nil, err
@@ -208,8 +209,8 @@ func share(global, own, peers float64, peersHeld float64, live int) float64 {
 
 // Release drops server's lease on tenant, returning its slice to the pool
 // immediately (the cooperative path — crashes rely on expiry instead).
-func (s *Store) Release(tenant, server string) error {
-	_, err := s.db.Transact(func(tr *fdb.Transaction) (interface{}, error) {
+func (s *Store) Release(ctx context.Context, tenant, server string) error {
+	_, err := s.db.Transact(ctx, func(ctx context.Context, tr *fdb.Transaction) (interface{}, error) {
 		return nil, tr.Clear(s.key(tenant, server))
 	})
 	return err
@@ -217,8 +218,8 @@ func (s *Store) Release(tenant, server string) error {
 
 // Live returns tenant's live (unexpired) lease rows at now — the observability
 // hook tests and the fleet sampler use to assert the sum invariant.
-func (s *Store) Live(tenant string, now time.Time) ([]Row, error) {
-	v, err := s.db.ReadTransact(func(tr *fdb.Transaction) (interface{}, error) {
+func (s *Store) Live(ctx context.Context, tenant string, now time.Time) ([]Row, error) {
+	v, err := s.db.ReadTransact(ctx, func(ctx context.Context, tr *fdb.Transaction) (interface{}, error) {
 		return s.tenantRowsLocked(tr, tenant, now, false)
 	})
 	if err != nil {

@@ -38,7 +38,7 @@ func testStore() *Store {
 
 func sumLive(t *testing.T, s *Store, tenant string, now time.Time) (txn, bytes float64, rows int) {
 	t.Helper()
-	live, err := s.Live(tenant, now)
+	live, err := s.Live(context.Background(), tenant, now)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestClaimEqualSplitConverges(t *testing.T) {
 	servers := []string{"a", "b", "c"}
 	for round := 0; round < 2; round++ {
 		for _, srv := range servers {
-			if _, err := s.Claim("t", srv, global, 0, Demand{}, base, 5*time.Second); err != nil {
+			if _, err := s.Claim(context.Background(), "t", srv, global, 0, Demand{}, base, 5*time.Second); err != nil {
 				t.Fatal(err)
 			}
 			if sum, _, _ := sumLive(t, s, "t", base); sum > global+sumEps {
@@ -69,7 +69,7 @@ func TestClaimEqualSplitConverges(t *testing.T) {
 			}
 		}
 	}
-	live, err := s.Live("t", base)
+	live, err := s.Live(context.Background(), "t", base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestClaimDemandProportional(t *testing.T) {
 			if round >= 2 {
 				d = demands[srv]
 			}
-			if _, err := s.Claim("t", srv, global, 0, d, base, 5*time.Second); err != nil {
+			if _, err := s.Claim(context.Background(), "t", srv, global, 0, d, base, 5*time.Second); err != nil {
 				t.Fatal(err)
 			}
 			if sum, _, _ := sumLive(t, s, "t", base); sum > global+sumEps {
@@ -111,7 +111,7 @@ func TestClaimDemandProportional(t *testing.T) {
 			}
 		}
 	}
-	live, err := s.Live("t", base)
+	live, err := s.Live(context.Background(), "t", base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestExpiredLeaseReclaimed(t *testing.T) {
 	const ttl = 2 * time.Second
 	for round := 0; round < 2; round++ {
 		for _, srv := range []string{"a", "b", "c"} {
-			if _, err := s.Claim("t", srv, global, 0, Demand{}, now, ttl); err != nil {
+			if _, err := s.Claim(context.Background(), "t", srv, global, 0, Demand{}, now, ttl); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -152,7 +152,7 @@ func TestExpiredLeaseReclaimed(t *testing.T) {
 	for round := 0; round < 4; round++ {
 		now = now.Add(time.Second)
 		for _, srv := range []string{"a", "b"} {
-			if _, err := s.Claim("t", srv, global, 0, Demand{}, now, ttl); err != nil {
+			if _, err := s.Claim(context.Background(), "t", srv, global, 0, Demand{}, now, ttl); err != nil {
 				t.Fatal(err)
 			}
 			if sum, _, _ := sumLive(t, s, "t", now); sum > global+sumEps {
@@ -160,7 +160,7 @@ func TestExpiredLeaseReclaimed(t *testing.T) {
 			}
 		}
 	}
-	live, err := s.Live("t", now)
+	live, err := s.Live(context.Background(), "t", now)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func newChurnHarness(t *testing.T, global resource.Limits, ttl time.Duration) *c
 		store:  NewStore(db, subspace.FromTuple(tuple.Tuple{"leases"})),
 		limits: resource.NewLimitsStore(db, subspace.FromTuple(tuple.Tuple{"limits"})),
 	}
-	if err := h.limits.Set("t", global); err != nil {
+	if err := h.limits.Set(context.Background(), "t", global); err != nil {
 		t.Fatal(err)
 	}
 	for i := range h.govs {
@@ -241,10 +241,10 @@ func newChurnHarness(t *testing.T, global resource.Limits, ttl time.Duration) *c
 func (h *churnHarness) refresh(t *testing.T, global float64, idx ...int) {
 	t.Helper()
 	for _, i := range idx {
-		if _, err := h.mgrs[i].Refresh(); err != nil {
+		if _, err := h.mgrs[i].Refresh(context.Background()); err != nil {
 			t.Fatalf("manager %d refresh: %v", i, err)
 		}
-		live, err := h.store.Live("t", h.clock.Now())
+		live, err := h.store.Live(context.Background(), "t", h.clock.Now())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -317,7 +317,7 @@ func TestManagerChurnConvergence(t *testing.T) {
 		h.clock.Advance(2 * time.Second)
 		h.refresh(t, globalRate, 1, 2)
 	}
-	live, err := h.store.Live("t", h.clock.Now())
+	live, err := h.store.Live(context.Background(), "t", h.clock.Now())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +332,7 @@ func TestManagerChurnConvergence(t *testing.T) {
 
 	// Tenant leaves the table: leases are released and the governors revert
 	// to defaults (unlimited here).
-	if err := h.limits.Delete("t"); err != nil {
+	if err := h.limits.Delete(context.Background(), "t"); err != nil {
 		t.Fatal(err)
 	}
 	h.refresh(t, globalRate, 1, 2)
@@ -342,7 +342,7 @@ func TestManagerChurnConvergence(t *testing.T) {
 	if got := h.govs[1].LimitsFor("t").TxnPerSecond; got != 0 {
 		t.Fatalf("governor 1 rate after delete = %v, want 0 (unlimited default)", got)
 	}
-	live, err = h.store.Live("t", h.clock.Now())
+	live, err = h.store.Live(context.Background(), "t", h.clock.Now())
 	if err != nil {
 		t.Fatal(err)
 	}

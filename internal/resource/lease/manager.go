@@ -30,10 +30,6 @@ type Options struct {
 	// Clock supplies time (tests inject a manual clock). Defaults to
 	// time.Now.
 	Clock func() time.Time
-	// Trace, when set, receives one obs.SpanLeaseRefresh span per heartbeat
-	// (lease count or failure cause in the attr). Nil keeps heartbeats
-	// span-free.
-	Trace *obs.Trace
 }
 
 // Manager runs one server's side of the distributed quota protocol: each
@@ -98,26 +94,30 @@ func (m *Manager) Held(tenant string) (Slice, bool) {
 // observations, and release leases for tenants no longer in the table.
 // Returns the number of tenants leased. Errors on individual claims abort
 // the refresh (the next heartbeat retries); the limits table application is
-// not rolled back — stale slices keep governing until then.
-func (m *Manager) Refresh() (int, error) {
+// not rolled back — stale slices keep governing until then. A trace bound to
+// ctx (obs.WithTrace) receives one obs.SpanLeaseRefresh span per heartbeat
+// (lease count or failure cause in the attr) and the heartbeat transactions'
+// attempt spans.
+func (m *Manager) Refresh(ctx context.Context) (int, error) {
+	trace := obs.FromContext(ctx)
 	var startNanos int64
-	if m.opts.Trace != nil {
+	if trace != nil {
 		startNanos = m.opts.Clock().UnixNano()
 	}
-	leased, err := m.refresh()
-	if m.opts.Trace != nil {
+	leased, err := m.refresh(ctx)
+	if trace != nil {
 		attr := fmt.Sprintf("server=%s leased=%d", m.opts.Server, leased)
 		if err != nil {
 			attr = fmt.Sprintf("server=%s err=%v", m.opts.Server, err)
 		}
-		m.opts.Trace.Add(obs.SpanLeaseRefresh, startNanos, m.opts.Clock().UnixNano(), 0, attr)
+		trace.Add(obs.SpanLeaseRefresh, startNanos, m.opts.Clock().UnixNano(), 0, attr)
 	}
 	return leased, err
 }
 
 // refresh is one heartbeat's body.
-func (m *Manager) refresh() (int, error) {
-	all, err := m.limits.All()
+func (m *Manager) refresh(ctx context.Context) (int, error) {
+	all, err := m.limits.All(ctx)
 	if err != nil {
 		m.mu.Lock()
 		m.decayExpiredLocked(m.opts.Clock())
@@ -136,7 +136,7 @@ func (m *Manager) refresh() (int, error) {
 			// Nothing to slice: concurrency/weight limits are per-server
 			// by design and the limits table already applied them.
 			if _, ok := m.held[tenant]; ok {
-				m.dropLocked(tenant)
+				m.dropLocked(ctx, tenant)
 			}
 			continue
 		}
@@ -148,7 +148,7 @@ func (m *Manager) refresh() (int, error) {
 		h.global = global
 		usage := acct.Tenant(tenant).Snapshot()
 		d := h.demand(usage, now)
-		slice, err := m.store.Claim(tenant, m.opts.Server, global.TxnPerSecond, global.BytesPerSecond, d, now, m.opts.TTL)
+		slice, err := m.store.Claim(ctx, tenant, m.opts.Server, global.TxnPerSecond, global.BytesPerSecond, d, now, m.opts.TTL)
 		if err != nil {
 			// The heartbeat failed mid-claim. Any holding whose row has
 			// expired unrenewed may already be reclaimed by peers, so keeping
@@ -175,7 +175,7 @@ func (m *Manager) refresh() (int, error) {
 	}
 	for tenant := range m.held {
 		if _, ok := all[tenant]; !ok {
-			m.dropLocked(tenant)
+			m.dropLocked(ctx, tenant)
 		}
 	}
 	return leased, nil
@@ -221,25 +221,25 @@ func (m *Manager) decayToFloorLocked(tenant string, h *holding) {
 
 // dropLocked releases tenant's lease row and reverts the governor to the
 // configured limits. Caller holds m.mu.
-func (m *Manager) dropLocked(tenant string) {
-	_ = m.store.Release(tenant, m.opts.Server)
+func (m *Manager) dropLocked(ctx context.Context, tenant string) {
+	_ = m.store.Release(ctx, tenant, m.opts.Server)
 	m.gov.ClearLease(tenant)
 	delete(m.held, tenant)
 }
 
 // Close releases every held lease (the cooperative shutdown path).
-func (m *Manager) Close() {
+func (m *Manager) Close(ctx context.Context) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for tenant := range m.held {
-		m.dropLocked(tenant)
+		m.dropLocked(ctx, tenant)
 	}
 }
 
 // Run refreshes every interval until ctx is done — the lease-aware
 // replacement for Governor.WatchLimits. Run it on its own goroutine;
 // transient errors are retried on the next tick. Held leases are released
-// on exit.
+// on exit, under ctx's values without its cancellation.
 func (m *Manager) Run(ctx context.Context, interval time.Duration) {
 	if interval <= 0 {
 		interval = m.opts.TTL / 3
@@ -249,13 +249,13 @@ func (m *Manager) Run(ctx context.Context, interval time.Duration) {
 	}
 	t := time.NewTicker(interval)
 	defer t.Stop()
-	defer m.Close()
+	defer m.Close(context.WithoutCancel(ctx))
 	for {
 		select {
 		case <-ctx.Done():
 			return
 		case <-t.C:
-			_, _ = m.Refresh()
+			_, _ = m.Refresh(ctx)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package lease
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -12,28 +13,29 @@ import (
 	"recordlayer/internal/tuple"
 )
 
-// TestRefreshRecordsHeartbeatSpan: with Options.Trace set, every Refresh
-// records one lease.refresh span carrying the lease count; without it, the
-// heartbeat stays span-free (the "off must be free" default).
+// TestRefreshRecordsHeartbeatSpan: with a trace bound to the ctx, every
+// Refresh records one lease.refresh span carrying the lease count, plus the
+// attempt spans of its heartbeat transactions.
 func TestRefreshRecordsHeartbeatSpan(t *testing.T) {
 	db := fdb.Open(nil)
 	clock := &manualClock{now: time.Unix(1000, 0)}
 	store := NewStore(db, subspace.FromTuple(tuple.Tuple{"leases"}))
 	limits := resource.NewLimitsStore(db, subspace.FromTuple(tuple.Tuple{"limits"}))
-	if err := limits.Set("t", resource.Limits{TxnPerSecond: 30}); err != nil {
+	if err := limits.Set(context.Background(), "t", resource.Limits{TxnPerSecond: 30}); err != nil {
 		t.Fatal(err)
 	}
 	gov := resource.NewGovernor(nil, resource.GovernorOptions{Clock: clock.Now})
 	trace := obs.NewTrace()
-	mgr := NewManager(gov, limits, store, Options{Server: "a", TTL: time.Second, Clock: clock.Now, Trace: trace})
-	defer mgr.Close()
+	mgr := NewManager(gov, limits, store, Options{Server: "a", TTL: time.Second, Clock: clock.Now})
+	ctx := obs.WithTrace(context.Background(), trace)
+	defer mgr.Close(ctx)
 
 	start := clock.Now().UnixNano()
 	clock.Advance(5 * time.Millisecond)
-	if _, err := mgr.Refresh(); err != nil {
+	if _, err := mgr.Refresh(ctx); err != nil {
 		t.Fatal(err)
 	}
-	spans := trace.Spans()
+	spans := trace.Named(obs.SpanLeaseRefresh)
 	if len(spans) != 1 {
 		t.Fatalf("want 1 heartbeat span, got %d: %+v", len(spans), spans)
 	}
@@ -47,27 +49,48 @@ func TestRefreshRecordsHeartbeatSpan(t *testing.T) {
 	if !strings.Contains(s.Attr, "server=a") || !strings.Contains(s.Attr, "leased=1") {
 		t.Errorf("span attr = %q, want server and lease count", s.Attr)
 	}
+	// One limits read and one claim, each a single clean attempt.
+	if n := len(trace.Named(obs.SpanAttempt)); n != 2 {
+		t.Errorf("want 2 attempt spans, got %d", n)
+	}
 
 	// A second heartbeat appends a second span.
 	clock.Advance(100 * time.Millisecond)
-	if _, err := mgr.Refresh(); err != nil {
+	if _, err := mgr.Refresh(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if n := len(trace.Spans()); n != 2 {
+	if n := len(trace.Named(obs.SpanLeaseRefresh)); n != 2 {
 		t.Errorf("want 2 spans after 2 heartbeats, got %d", n)
 	}
 }
 
-// TestRefreshWithoutTraceRecordsNothing: nil Trace means no span machinery
-// runs at all.
+// TestRefreshWithoutTraceRecordsNothing: a heartbeat under a ctx with no
+// trace bound (the default) runs no span machinery and still leases.
 func TestRefreshWithoutTraceRecordsNothing(t *testing.T) {
 	h := newChurnHarness(t, resource.Limits{TxnPerSecond: 30}, time.Second)
-	if _, err := h.mgrs[0].Refresh(); err != nil {
+	n, err := h.mgrs[0].Refresh(context.Background())
+	if err != nil {
 		t.Fatal(err)
 	}
-	// Nothing to assert on a nil sink beyond not panicking; the typed check
-	// is that Options.Trace stayed nil and Refresh still worked.
-	if h.mgrs[0].opts.Trace != nil {
-		t.Fatal("harness unexpectedly set a trace")
+	if n != 1 {
+		t.Fatalf("leased %d tenants, want 1", n)
 	}
+}
+
+// TestRefreshRetriesAppearInTrace: heartbeat transactions that conflict are
+// retried by the loop, and each retried attempt shows up in the ctx's trace
+// with its cause.
+func TestRefreshRetriesAppearInTrace(t *testing.T) {
+	h := newFaultHarness(t, fdb.FaultConfig{Seed: 11, PCommitNotCommitted: 0.5}, time.Second)
+	h.inj.Enable()
+	trace := obs.NewTrace()
+	if _, err := h.mgrs[0].Refresh(obs.WithTrace(context.Background(), trace)); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range trace.Named(obs.SpanAttempt) {
+		if strings.Contains(s.Attr, "cause="+fdb.CauseConflict) {
+			return
+		}
+	}
+	t.Fatalf("no attempt span with cause=conflict in %+v", trace.Named(obs.SpanAttempt))
 }

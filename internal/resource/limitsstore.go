@@ -1,6 +1,7 @@
 package resource
 
 import (
+	"context"
 	"fmt"
 
 	"recordlayer/internal/fdb"
@@ -96,8 +97,8 @@ func (s *LimitsStore) key(tenant string) []byte {
 }
 
 // Set persists tenant's limits, replacing any previous row.
-func (s *LimitsStore) Set(tenant string, l Limits) error {
-	_, err := s.db.Transact(func(tr *fdb.Transaction) (interface{}, error) {
+func (s *LimitsStore) Set(ctx context.Context, tenant string, l Limits) error {
+	_, err := s.db.Transact(ctx, func(ctx context.Context, tr *fdb.Transaction) (interface{}, error) {
 		return nil, tr.Set(s.key(tenant), encodeLimits(l))
 	})
 	return err
@@ -105,8 +106,8 @@ func (s *LimitsStore) Set(tenant string, l Limits) error {
 
 // Get reads tenant's persisted limits; ok is false when no row exists (the
 // tenant runs under the governor's DefaultLimits).
-func (s *LimitsStore) Get(tenant string) (l Limits, ok bool, err error) {
-	v, err := s.db.ReadTransact(func(tr *fdb.Transaction) (interface{}, error) {
+func (s *LimitsStore) Get(ctx context.Context, tenant string) (l Limits, ok bool, err error) {
+	v, err := s.db.ReadTransact(ctx, func(ctx context.Context, tr *fdb.Transaction) (interface{}, error) {
 		b, err := tr.Get(s.key(tenant))
 		if err != nil || b == nil {
 			return nil, err
@@ -125,8 +126,8 @@ func (s *LimitsStore) Get(tenant string) (l Limits, ok bool, err error) {
 
 // Delete removes tenant's persisted limits; the tenant reverts to default
 // limits at every server's next refresh.
-func (s *LimitsStore) Delete(tenant string) error {
-	_, err := s.db.Transact(func(tr *fdb.Transaction) (interface{}, error) {
+func (s *LimitsStore) Delete(ctx context.Context, tenant string) error {
+	_, err := s.db.Transact(ctx, func(ctx context.Context, tr *fdb.Transaction) (interface{}, error) {
 		return nil, tr.Clear(s.key(tenant))
 	})
 	return err
@@ -134,8 +135,8 @@ func (s *LimitsStore) Delete(tenant string) error {
 
 // All reads every persisted tenant's limits in one snapshot read — the
 // payload a Governor.LoadLimits refresh applies.
-func (s *LimitsStore) All() (map[string]Limits, error) {
-	v, err := s.db.ReadTransact(func(tr *fdb.Transaction) (interface{}, error) {
+func (s *LimitsStore) All(ctx context.Context) (map[string]Limits, error) {
+	v, err := s.db.ReadTransact(ctx, func(ctx context.Context, tr *fdb.Transaction) (interface{}, error) {
 		out := make(map[string]Limits)
 		begin, end := s.space.Range()
 		for {

@@ -156,11 +156,11 @@ func decodeWindow(b []byte) (WindowRecord, error) {
 // Keys take the commit versionstamp (with the row index as user version), so
 // concurrent exporters never collide and per-tenant rows scan in commit
 // order.
-func (s *MeteringStore) Export(server string, start time.Time, window time.Duration, deltas []Usage) error {
+func (s *MeteringStore) Export(ctx context.Context, server string, start time.Time, window time.Duration, deltas []Usage) error {
 	if len(deltas) == 0 {
 		return nil
 	}
-	_, err := s.db.Transact(func(tr *fdb.Transaction) (interface{}, error) {
+	_, err := s.db.Transact(ctx, func(ctx context.Context, tr *fdb.Transaction) (interface{}, error) {
 		for i, u := range deltas {
 			key, err := s.space.PackWithVersionstamp(tuple.Tuple{
 				u.Tenant, tuple.IncompleteVersionstamp(uint16(i)),
@@ -179,8 +179,8 @@ func (s *MeteringStore) Export(server string, start time.Time, window time.Durat
 
 // Records scans every persisted window row in key order (grouped by tenant,
 // then commit order).
-func (s *MeteringStore) Records() ([]WindowRecord, error) {
-	v, err := s.db.ReadTransact(func(tr *fdb.Transaction) (interface{}, error) {
+func (s *MeteringStore) Records(ctx context.Context) ([]WindowRecord, error) {
+	v, err := s.db.ReadTransact(ctx, func(ctx context.Context, tr *fdb.Transaction) (interface{}, error) {
 		var out []WindowRecord
 		begin, end := s.space.Range()
 		for {
@@ -225,8 +225,8 @@ func (s *MeteringStore) Records() ([]WindowRecord, error) {
 // all servers and windows (sorted by tenant), plus the cross-tenant grand
 // total — the two query shapes a billing pipeline asks of multi-tenant usage
 // data.
-func (s *MeteringStore) Report() (perTenant []Usage, total Usage, err error) {
-	recs, err := s.Records()
+func (s *MeteringStore) Report(ctx context.Context) (perTenant []Usage, total Usage, err error) {
+	recs, err := s.Records(ctx)
 	if err != nil {
 		return nil, Usage{}, err
 	}
@@ -260,19 +260,9 @@ type UsageExporter struct {
 	server string
 	clock  func() time.Time
 
-	mu    sync.Mutex
-	trace *obs.Trace
-	last  map[string]Usage
-	prev  time.Time
-}
-
-// SetTrace attaches a span sink: every subsequent Export records one
-// obs.SpanMeterExport span (window count or failure cause in the attr). Nil
-// detaches it.
-func (e *UsageExporter) SetTrace(t *obs.Trace) {
-	e.mu.Lock()
-	e.trace = t
-	e.mu.Unlock()
+	mu   sync.Mutex
+	last map[string]Usage
+	prev time.Time
 }
 
 // NewUsageExporter creates an exporter publishing acct's deltas under the
@@ -291,8 +281,10 @@ func NewUsageExporter(acct *Accountant, store *MeteringStore, server string, clo
 // (or since construction), skipping all-zero deltas. Returns the number of
 // rows written. On error the baseline is not advanced, so the next Export
 // re-covers the window — usage is never silently dropped, at worst exported
-// late.
-func (e *UsageExporter) Export() (int, error) {
+// late. A trace bound to ctx (obs.WithTrace) receives one
+// obs.SpanMeterExport span (window count or failure cause in the attr) and
+// the export transaction's attempt spans.
+func (e *UsageExporter) Export(ctx context.Context) (int, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	now := e.clock()
@@ -307,24 +299,26 @@ func (e *UsageExporter) Export() (int, error) {
 		return true
 	})
 	sort.Slice(deltas, func(i, j int) bool { return deltas[i].Tenant < deltas[j].Tenant })
-	if err := e.store.Export(e.server, e.prev, now.Sub(e.prev), deltas); err != nil {
-		if e.trace != nil {
-			e.trace.Add(obs.SpanMeterExport, now.UnixNano(), e.clock().UnixNano(), 0,
+	trace := obs.FromContext(ctx)
+	if err := e.store.Export(ctx, e.server, e.prev, now.Sub(e.prev), deltas); err != nil {
+		if trace != nil {
+			trace.Add(obs.SpanMeterExport, now.UnixNano(), e.clock().UnixNano(), 0,
 				fmt.Sprintf("server=%s err=%v", e.server, err))
 		}
 		return 0, err
 	}
 	e.last = next
 	e.prev = now
-	if e.trace != nil {
-		e.trace.Add(obs.SpanMeterExport, now.UnixNano(), e.clock().UnixNano(), 0,
+	if trace != nil {
+		trace.Add(obs.SpanMeterExport, now.UnixNano(), e.clock().UnixNano(), 0,
 			fmt.Sprintf("server=%s windows=%d", e.server, len(deltas)))
 	}
 	return len(deltas), nil
 }
 
 // Run exports every interval until ctx is done, with a final flush on exit
-// so shutdown loses no usage. Run it on its own goroutine.
+// so shutdown loses no usage: the flush runs under ctx's values without its
+// cancellation. Run it on its own goroutine.
 func (e *UsageExporter) Run(ctx context.Context, interval time.Duration) {
 	if interval <= 0 {
 		interval = 10 * time.Second
@@ -334,10 +328,10 @@ func (e *UsageExporter) Run(ctx context.Context, interval time.Duration) {
 	for {
 		select {
 		case <-ctx.Done():
-			_, _ = e.Export()
+			_, _ = e.Export(context.WithoutCancel(ctx))
 			return
 		case <-t.C:
-			_, _ = e.Export()
+			_, _ = e.Export(ctx)
 		}
 	}
 }

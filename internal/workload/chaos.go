@@ -505,7 +505,7 @@ func runChaosLeases(ctx context.Context, cfg ChaosConfig, stats *ChaosStats) err
 	}
 	// Installing the budget is setup, not churn.
 	inj.Disable()
-	if err := limits.Set(chaosTenant, global); err != nil {
+	if err := limits.Set(ctx, chaosTenant, global); err != nil {
 		return err
 	}
 	inj.Enable()
@@ -545,11 +545,11 @@ func runChaosLeases(ctx context.Context, cfg ChaosConfig, stats *ChaosStats) err
 				continue // the last server "crashes": no heartbeat, no enforcement
 			}
 			liveMgrs = append(liveMgrs, m)
-			if _, err := m.Refresh(); err != nil {
+			if _, err := m.Refresh(ctx); err != nil {
 				stats.LeaseRefreshFailures++
 			}
 		}
-		rows, err := leaseStore.Live(chaosTenant, now)
+		rows, err := leaseStore.Live(ctx, chaosTenant, now)
 		if err != nil {
 			continue // an injected read fault killed the sample; next round
 		}
@@ -574,7 +574,7 @@ func runChaosLeases(ctx context.Context, cfg ChaosConfig, stats *ChaosStats) err
 		}
 	}
 	for _, m := range mgrs {
-		m.Close()
+		m.Close(ctx)
 	}
 	return nil
 }

@@ -718,17 +718,17 @@ func runPersistedPhase(ctx context.Context, cfg NoisyConfig) (NoisyPhase, bool, 
 		Burst:         (cfg.AggressorBurst + 1) / 2,
 		MaxConcurrent: 1,
 	}
-	if err := limits.Set(aggressorTenant, want); err != nil {
+	if err := limits.Set(ctx, aggressorTenant, want); err != nil {
 		return NoisyPhase{}, false, err
 	}
 
 	acctA, acctB := recordlayer.NewAccountant(), recordlayer.NewAccountant()
 	govA := recordlayer.NewGovernor(acctA, recordlayer.GovernorOptions{})
 	govB := recordlayer.NewGovernor(acctB, recordlayer.GovernorOptions{})
-	if _, err := govA.LoadLimits(limits); err != nil {
+	if _, err := govA.LoadLimits(ctx, limits); err != nil {
 		return NoisyPhase{}, false, err
 	}
-	if _, err := govB.LoadLimits(limits); err != nil {
+	if _, err := govB.LoadLimits(ctx, limits); err != nil {
 		return NoisyPhase{}, false, err
 	}
 	consistent := govA.LimitsFor(aggressorTenant) == govB.LimitsFor(aggressorTenant) &&
@@ -810,7 +810,7 @@ func runDistributedPhase(ctx context.Context, cfg NoisyConfig) (NoisyPhase, dist
 		ByteBurst:      cfg.AggressorByteBurst,
 		MaxConcurrent:  byteQuotaConcurrency,
 	}
-	if err := limits.Set(aggressorTenant, global); err != nil {
+	if err := limits.Set(ctx, aggressorTenant, global); err != nil {
 		return NoisyPhase{}, out, err
 	}
 
@@ -847,7 +847,7 @@ func runDistributedPhase(ctx context.Context, cfg NoisyConfig) (NoisyPhase, dist
 	// headroom; round 2 re-sizes every claim against all three live rows).
 	for round := 0; round < 2; round++ {
 		for _, m := range mgrs {
-			if _, err := m.Refresh(); err != nil {
+			if _, err := m.Refresh(ctx); err != nil {
 				return NoisyPhase{}, out, err
 			}
 		}
@@ -873,9 +873,9 @@ func runDistributedPhase(ctx context.Context, cfg NoisyConfig) (NoisyPhase, dist
 				return
 			case <-t.C:
 				for _, m := range mgrs {
-					_, _ = m.Refresh() // transient claim conflicts retry next beat
+					_, _ = m.Refresh(ctx) // transient claim conflicts retry next beat
 				}
-				rows, err := leaseStore.Live(aggressorTenant, cfg.Clock())
+				rows, err := leaseStore.Live(ctx, aggressorTenant, cfg.Clock())
 				if err != nil {
 					continue
 				}
@@ -922,11 +922,11 @@ func runDistributedPhase(ctx context.Context, cfg NoisyConfig) (NoisyPhase, dist
 	// against the live accountants: the billing pipeline must account every
 	// transaction and byte the phase ran, exactly once.
 	for _, e := range exps {
-		if _, err := e.Export(); err != nil {
+		if _, err := e.Export(ctx); err != nil {
 			return NoisyPhase{}, out, err
 		}
 	}
-	_, total, err := metering.Report()
+	_, total, err := metering.Report(ctx)
 	if err != nil {
 		return NoisyPhase{}, out, err
 	}

@@ -77,7 +77,7 @@ func RegisterDatabaseMetrics(r *MetricsRegistry, db *fdb.Database) {
 	counter("fdb_transactions_started_total", "Transactions created against the database.", &m.TransactionsStarted)
 	counter("fdb_commits_total", "Successful commits.", &m.Commits)
 	counter("fdb_conflicts_total", "Commits aborted by the conflict resolver.", &m.Conflicts)
-	counter("fdb_retries_total", "Transaction resets after retryable errors.", &m.Retries)
+	counter("fdb_retries_total", "Retries by the retry loop on this database: Runner requests and background work alike.", &m.Retries)
 	counter("fdb_grv_total", "Read-version (GRV) acquisitions.", &m.GRVCalls)
 	counter("fdb_keys_read_total", "Key-value pairs read.", &m.KeysRead)
 	counter("fdb_bytes_read_total", "Key+value bytes read.", &m.BytesRead)

@@ -3,7 +3,6 @@ package recordlayer
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math/rand"
 	"sync"
 	"time"
@@ -17,7 +16,7 @@ import (
 // committed after the function returns nil (for Run; ReadRun never commits).
 // The function may be invoked several times, so it must be idempotent with
 // respect to out-of-transaction state.
-type TransactFunc func(ctx context.Context, tr *fdb.Transaction) (interface{}, error)
+type TransactFunc = fdb.TransactFunc
 
 // RunnerOptions tunes the retry loop. The zero value gives sensible
 // production defaults.
@@ -51,14 +50,6 @@ type RunnerOptions struct {
 	// each read and write it performs. Nil falls back to the Governor's accountant;
 	// if both are nil, metering is off.
 	Accountant *resource.Accountant
-	// RetryMaybeCommitted declares that every closure passed to this runner
-	// is idempotent, so commit_unknown_result — a commit that may or may not
-	// have applied — is retried like a clean failure. Leave false (the
-	// default) unless that is genuinely true of all callers: re-running a
-	// non-idempotent closure after an applied-but-unacknowledged commit
-	// double-writes. Prefer the per-call RunIdempotent for closures that can
-	// make the promise individually.
-	RetryMaybeCommitted bool
 }
 
 func (o RunnerOptions) withDefaults() RunnerOptions {
@@ -119,92 +110,31 @@ type RunnerMetrics struct {
 }
 
 // Retry/failure cause labels recorded in RunnerMetrics and on attempt spans.
-// Chaos runs use these to attribute exactly which failure mode each retry
-// answered.
+// The retry loop classifies attempt errors (fdb.Cause); the quota cause is
+// the Runner's own, for admission rejections.
 const (
-	CauseConflict       = "conflict"        // not_committed: clean optimistic-concurrency abort
-	CauseTooOld         = "too_old"         // transaction_too_old: read version left the MVCC window
-	CauseFutureVersion  = "future_version"  // future_version: cluster behind the cached read version
-	CauseTimeout        = "timeout"         // transaction_timed_out: 5 s transaction limit
-	CauseQuota          = "quota"           // admission rejected over tenant quota
-	CauseMaybeCommitted = "maybe_committed" // commit_unknown_result: fate of the commit unknown
-	CauseCanceled       = "canceled"        // context canceled or deadline exceeded
-	CauseOther          = "other"           // anything else (application errors)
+	CauseConflict       = fdb.CauseConflict
+	CauseTooOld         = fdb.CauseTooOld
+	CauseFutureVersion  = fdb.CauseFutureVersion
+	CauseTimeout        = fdb.CauseTimeout
+	CauseQuota          = "quota" // admission rejected over tenant quota
+	CauseMaybeCommitted = fdb.CauseMaybeCommitted
+	CauseCanceled       = fdb.CauseCanceled
+	CauseOther          = fdb.CauseOther
 )
-
-// errCause classifies an error into one of the Cause* labels.
-func errCause(err error) string {
-	if err == nil {
-		return ""
-	}
-	var qe *resource.QuotaExceededError
-	if errors.As(err, &qe) {
-		return CauseQuota
-	}
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		return CauseCanceled
-	}
-	var fe *fdb.Error
-	if errors.As(err, &fe) {
-		switch fe.Code {
-		case fdb.CodeNotCommitted:
-			return CauseConflict
-		case fdb.CodeTransactionTooOld:
-			return CauseTooOld
-		case fdb.CodeFutureVersion:
-			return CauseFutureVersion
-		case fdb.CodeTransactionTimedOut:
-			return CauseTimeout
-		case fdb.CodeCommitUnknownResult:
-			return CauseMaybeCommitted
-		}
-	}
-	return CauseOther
-}
 
 // RetryLimitError wraps the last retryable error once the attempt budget is
 // exhausted. Unwrap exposes the underlying *fdb.Error for errors.Is/As.
-type RetryLimitError struct {
-	Attempts int
-	Last     error
-}
-
-func (e *RetryLimitError) Error() string {
-	return fmt.Sprintf("recordlayer: transaction failed after %d attempts: %v", e.Attempts, e.Last)
-}
-
-// Unwrap returns the final attempt's error.
-func (e *RetryLimitError) Unwrap() error { return e.Last }
+type RetryLimitError = fdb.RetryLimitError
 
 // MaybeCommittedError reports that an execution ended with
-// commit_unknown_result ambiguity: some attempt's commit may or may not have
-// applied, and the runner could not resolve the doubt — the closure made no
-// idempotency promise, or the attempt budget (or the context) ran out while
-// the ambiguity persisted. Ambiguity is sticky across attempts: once any
-// attempt ends maybe-committed, no later clean failure can restore the
-// "nothing was applied" guarantee, so the execution reports ambiguous no
-// matter how it terminates. The caller must treat the write as in-doubt —
-// verify by reading, or re-run only work that is safe to apply twice. Unwrap
-// exposes the terminal error.
-type MaybeCommittedError struct {
-	Attempts int
-	Last     error
-}
-
-func (e *MaybeCommittedError) Error() string {
-	return fmt.Sprintf("recordlayer: commit result unknown after %d attempts (transaction may or may not have applied): %v", e.Attempts, e.Last)
-}
-
-// Unwrap returns the final attempt's error.
-func (e *MaybeCommittedError) Unwrap() error { return e.Last }
+// commit_unknown_result ambiguity; see fdb.MaybeCommittedError.
+type MaybeCommittedError = fdb.MaybeCommittedError
 
 // IsMaybeCommitted reports whether err carries commit-unknown-result
-// ambiguity — either the runner's typed MaybeCommittedError or a raw
-// fdb commit_unknown_result.
-func IsMaybeCommitted(err error) bool {
-	var me *MaybeCommittedError
-	return errors.As(err, &me) || fdb.IsMaybeCommitted(err)
-}
+// ambiguity — either the typed MaybeCommittedError or a raw fdb
+// commit_unknown_result.
+func IsMaybeCommitted(err error) bool { return fdb.IsMaybeCommitted(err) }
 
 // Runner executes transactional closures against a database with the
 // standard Record Layer retry loop (§5): bounded attempts, exponential
@@ -212,8 +142,9 @@ func IsMaybeCommitted(err error) bool {
 // timeouts), and context cancellation and deadline propagation. A Runner is
 // safe for concurrent use; one per database is typical.
 type Runner struct {
-	db   *fdb.Database
-	opts RunnerOptions
+	db     *fdb.Database
+	opts   RunnerOptions
+	policy fdb.Policy
 
 	mu sync.Mutex
 	m  RunnerMetrics
@@ -221,11 +152,16 @@ type Runner struct {
 
 // NewRunner creates a runner over db. A zero RunnerOptions uses defaults.
 func NewRunner(db *fdb.Database, opts RunnerOptions) *Runner {
-	return &Runner{db: db, opts: opts.withDefaults()}
+	o := opts.withDefaults()
+	return &Runner{db: db, opts: o, policy: fdb.Policy{
+		MaxAttempts:    o.MaxAttempts,
+		InitialBackoff: o.InitialBackoff,
+		MaxBackoff:     o.MaxBackoff,
+		Jitter:         o.Rand,
+		Sleep:          o.Sleep,
+		Now:            o.Now,
+	}}
 }
-
-// Database returns the underlying database (for metrics and tooling).
-func (r *Runner) Database() *fdb.Database { return r.db }
 
 // Metrics returns a single atomically-assembled snapshot of the runner's
 // counters: the read happens under the same lock every completed execution
@@ -252,27 +188,26 @@ func copyCauses(src map[string]int64) map[string]int64 {
 }
 
 // record folds one completed execution into the counters as one atomic
-// update. retryCauses (nil when the execution never retried) and failCause
-// (empty on success) attribute the per-cause breakdowns; the no-retry success
-// path stays allocation-free.
-func (r *Runner) record(runs, retries, failures int64, retryCauses map[string]int64, failCause string) {
+// update; the no-retry success path stays allocation-free.
+func (r *Runner) record(out fdb.Outcome, ok bool) {
 	r.mu.Lock()
-	r.m.Runs += runs
-	r.m.Retries += retries
-	r.m.Failures += failures
-	if len(retryCauses) > 0 {
-		if r.m.RetriesByCause == nil {
-			r.m.RetriesByCause = make(map[string]int64)
-		}
-		for c, n := range retryCauses {
-			r.m.RetriesByCause[c] += n
-		}
-	}
-	if failures > 0 && failCause != "" {
+	if ok {
+		r.m.Runs++
+	} else {
+		r.m.Failures++
 		if r.m.FailuresByCause == nil {
 			r.m.FailuresByCause = make(map[string]int64)
 		}
-		r.m.FailuresByCause[failCause] += failures
+		r.m.FailuresByCause[out.Cause]++
+	}
+	r.m.Retries += out.Retries
+	if len(out.RetryCauses) > 0 {
+		if r.m.RetriesByCause == nil {
+			r.m.RetriesByCause = make(map[string]int64)
+		}
+		for c, n := range out.RetryCauses {
+			r.m.RetriesByCause[c] += n
+		}
 	}
 	r.mu.Unlock()
 }
@@ -282,7 +217,7 @@ func (r *Runner) record(runs, retries, failures int64, retryCauses map[string]in
 // every attempt and during backoff, so cancellation and deadlines interrupt
 // the loop promptly with ctx.Err().
 func (r *Runner) Run(ctx context.Context, fn TransactFunc) (interface{}, error) {
-	return r.run(ctx, fn, true, r.opts.RetryMaybeCommitted)
+	return r.run(ctx, fn, fdb.ModeCommit)
 }
 
 // RunIdempotent is Run for a closure the caller asserts is idempotent: a
@@ -293,7 +228,8 @@ func (r *Runner) Run(ctx context.Context, fn TransactFunc) (interface{}, error) 
 // sites carry a reasoned //rl:idempotent directive (enforced by rl-vet's
 // idempotent analyzer).
 func (r *Runner) RunIdempotent(ctx context.Context, fn TransactFunc) (interface{}, error) {
-	return r.run(ctx, fn, true, true)
+	//rl:idempotent the promise is the caller's: every RunIdempotent call site carries its own reasoned directive
+	return r.run(ctx, fn, fdb.ModeIdempotent)
 }
 
 // ReadRun executes fn as a read-only transaction: same retry semantics as
@@ -301,28 +237,32 @@ func (r *Runner) RunIdempotent(ctx context.Context, fn TransactFunc) (interface{
 // maybe-committed ambiguity (which only commits can produce) never reaches
 // the caller.
 func (r *Runner) ReadRun(ctx context.Context, fn TransactFunc) (interface{}, error) {
-	return r.run(ctx, fn, false, true)
+	return r.run(ctx, fn, fdb.ModeRead)
 }
 
-func (r *Runner) run(ctx context.Context, fn TransactFunc, commit, idempotent bool) (interface{}, error) {
+// run wraps the retry loop (fdb.Database.Retry) with what the façade adds:
+// tenant admission, the tenant meter bound to every attempt, and this
+// runner's metrics.
+func (r *Runner) run(ctx context.Context, fn TransactFunc, mode fdb.Mode) (interface{}, error) {
 	// The latency clock starts before admission: Usage.TxnTime documents
 	// end-to-end latency including retries and backoff, and the queue wait a
 	// throttled tenant experiences is exactly the signal the governor's
 	// accounting must not hide. The admission trace span uses the same clock
 	// readings, so span duration and TxnTime queue wait agree exactly.
 	start := r.opts.Now()
-	trace := obs.FromContext(ctx)
 	var meter *resource.Meter
+	var bound fdb.Meter // nil unless meter is: a typed nil would bind
 	if tenant, ok := resource.TenantFrom(ctx); ok {
 		if r.opts.Accountant != nil {
 			meter = r.opts.Accountant.Tenant(tenant)
+			bound = meter
 		}
 		if r.opts.Governor != nil {
 			// One admission covers the whole retry loop: a retried attempt
 			// is the same unit of tenant work, not a new request. The
 			// admission's priority class rides the context (WithPriority).
 			release, err := r.opts.Governor.Admit(ctx, tenant)
-			if trace != nil {
+			if trace := obs.FromContext(ctx); trace != nil {
 				attr := ""
 				if err != nil {
 					attr = err.Error()
@@ -330,104 +270,27 @@ func (r *Runner) run(ctx context.Context, fn TransactFunc, commit, idempotent bo
 				trace.Add(obs.SpanAdmit, start.UnixNano(), r.opts.Now().UnixNano(), 0, attr)
 			}
 			if err != nil {
-				r.record(0, 0, 1, nil, errCause(err))
+				cause := CauseQuota
+				var qe *resource.QuotaExceededError
+				if !errors.As(err, &qe) {
+					cause = fdb.Cause(err)
+				}
+				r.record(fdb.Outcome{Cause: cause}, false)
 				return nil, err
 			}
 			defer release()
 		}
 	}
-	backoff := r.opts.InitialBackoff
-	retries := int64(0)
-	var retryCauses map[string]int64
-	// ambiguous latches once any attempt ends maybe-committed: a later clean
-	// failure cannot un-apply that attempt's possible commit, so every
-	// terminal error after it must carry the ambiguity.
-	ambiguous := false
-	for attempt := 1; ; attempt++ {
-		if err := ctx.Err(); err != nil {
-			r.record(0, retries, 1, retryCauses, CauseCanceled)
-			if ambiguous {
-				return nil, &MaybeCommittedError{Attempts: attempt - 1, Last: err}
-			}
-			return nil, err
-		}
-		tr := r.db.CreateTransaction()
-		if meter != nil {
-			tr.SetMeter(meter)
-		}
-		var a0 int64
-		if trace != nil {
-			tr.SetTrace(trace)
-			a0 = r.opts.Now().UnixNano()
-		}
-		v, err := fn(ctx, tr)
-		if err == nil && commit {
-			err = tr.Commit()
-		}
-		cause := errCause(err)
-		if trace != nil {
-			attr := fmt.Sprintf("attempt=%d", attempt)
-			if err != nil {
-				attr += " cause=" + cause + " err=" + err.Error()
-			}
-			trace.Add(obs.SpanAttempt, a0, r.opts.Now().UnixNano(), 0, attr)
-		}
-		if err == nil {
-			r.record(1, retries, 0, retryCauses, "")
-			meter.RecordTxn(r.opts.Now().Sub(start))
-			return v, nil
-		}
-		if fdb.IsConflict(err) {
-			meter.RecordConflict()
-		}
-		// A maybe-committed attempt is ambiguous, not failed: the commit may
-		// be durable. Only an idempotency promise (RunIdempotent, read-only
-		// work, or RetryMaybeCommitted) makes re-running safe; otherwise the
-		// ambiguity goes to the caller as a typed error.
-		maybe := fdb.IsMaybeCommitted(err)
-		if maybe {
-			ambiguous = true
-		}
-		if !fdb.IsRetryable(err) && !(idempotent && maybe) {
-			r.record(0, retries, 1, retryCauses, cause)
-			if ambiguous {
-				return nil, &MaybeCommittedError{Attempts: attempt, Last: err}
-			}
-			return nil, err
-		}
-		if attempt >= r.opts.MaxAttempts {
-			r.record(0, retries, 1, retryCauses, cause)
-			if ambiguous {
-				return nil, &MaybeCommittedError{Attempts: attempt, Last: err}
-			}
-			return nil, &RetryLimitError{Attempts: attempt, Last: err}
-		}
-		retries++
-		if retryCauses == nil {
-			retryCauses = make(map[string]int64, 4)
-		}
-		retryCauses[cause]++
-		delay := backoff/2 + time.Duration(r.opts.Rand()*float64(backoff/2))
-		var b0 int64
-		if trace != nil {
-			b0 = r.opts.Now().UnixNano()
-		}
-		if serr := r.opts.Sleep(ctx, delay); serr != nil {
-			r.record(0, retries, 1, retryCauses, CauseCanceled)
-			if ambiguous {
-				return nil, &MaybeCommittedError{Attempts: attempt, Last: serr}
-			}
-			return nil, serr
-		}
-		if trace != nil {
-			trace.Add(obs.SpanBackoff, b0, r.opts.Now().UnixNano(), 0,
-				fmt.Sprintf("attempt=%d delay=%s cause=%v", attempt, delay, err))
-		}
-		backoff *= 2
-		if backoff > r.opts.MaxBackoff {
-			backoff = r.opts.MaxBackoff
-		}
+	v, out, err := r.db.Retry(ctx, &r.policy, bound, mode, fn)
+	for i := 0; i < out.Conflicts; i++ {
+		meter.RecordConflict()
 	}
+	r.record(out, err == nil)
+	if err != nil {
+		return nil, err
+	}
+	meter.RecordTxn(r.opts.Now().Sub(start))
+	return v, nil
 }
 
 // IsRetryable reports whether err is an error the runner would retry (a

