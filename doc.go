@@ -137,7 +137,10 @@
 // goroutines, so depth 8 costs the same as depth 1 when reads are instant).
 // Range scans prefetch their next batch while the current one drains
 // (kvcursor read-ahead, always on; results are byte-identical to a
-// sequential scan).
+// sequential scan). Rank reads (Rank, RankOfValue, ByRank, and ScanByRank's
+// seek) each cost one round trip per skip-list level: the descent reads a
+// level's finger in one range read, and Rank overlaps its membership probe
+// with it.
 //
 // Index maintenance itself is two-phase: every maintainer implements
 // UpdateAsync(ctx, old, new), which issues the maintenance's probe reads
@@ -226,6 +229,8 @@
 //     key+value ReadBytes — including read-ahead batches no cursor consumes,
 //     snapshot reads, and reads in attempts that later abort and retry;
 //   - a point read that finds no key, as 1 row of its key bytes;
+//   - a rank seek (ByRank, ScanByRank) reads, and is billed for, the whole
+//     skip-list finger at each level, including entries past the target;
 //   - every buffered mutation when it is issued, as WriteRecords and
 //     key+value WriteBytes (so a later overwrite in the same transaction is
 //     charged again); a range clear is 1 row of its begin and end key bytes;

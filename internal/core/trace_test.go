@@ -11,15 +11,18 @@ import (
 	"recordlayer/internal/index"
 	"recordlayer/internal/message"
 	"recordlayer/internal/obs"
+	"recordlayer/internal/rankedset"
 	"recordlayer/internal/subspace"
 	"recordlayer/internal/tuple"
 )
 
 // TestRankReadSpans: each rank read operation records exactly one
 // index.<name> span covering the whole skip-list descent — its boundaries are
-// exact virtual-clock readings taken around the call, and the multiple
-// per-level read windows the descent pays all land inside that single span
-// rather than producing one span per level.
+// exact virtual-clock readings taken around the call, and the descent's
+// per-level read windows all land inside that single span rather than
+// producing one span per level. The descent reads each level in one range
+// read (Rank overlaps its membership probe with it), so every operation spans
+// exactly one window per level.
 func TestRankReadSpans(t *testing.T) {
 	const window = time.Millisecond
 	db := fdb.Open(&fdb.Options{Latency: fdb.LatencyModel{PerRead: window, Virtual: true}})
@@ -80,13 +83,12 @@ func TestRankReadSpans(t *testing.T) {
 			if sp.Attr != o.attr {
 				t.Fatalf("span attr %q, want %q", sp.Attr, o.attr)
 			}
-			// The descent reads more than one key range; all of those windows
-			// belong to this one span.
-			levelReads := trace.Named(obs.SpanRead)[readsBefore:]
-			if len(levelReads) < 2 {
-				t.Fatalf("%s: descent recorded %d read windows, expected several under one span",
-					o.attr, len(levelReads))
+			if got, want := sp.End-sp.Start, int64(rankedset.DefaultLevels)*int64(window); got != want {
+				t.Fatalf("%s spans %d windows, want one per level (%d)",
+					o.attr, got/int64(window), rankedset.DefaultLevels)
 			}
+			// All of the descent's read windows belong to this one span.
+			levelReads := trace.Named(obs.SpanRead)[readsBefore:]
 			for _, r := range levelReads {
 				if r.Start < sp.Start || r.End > sp.End {
 					t.Fatalf("%s: read window [%d,%d] escapes index span [%d,%d]",

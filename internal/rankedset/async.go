@@ -189,11 +189,10 @@ func (op *Op) resolveFloor(level int, inclusive bool) ([]byte, int64, error) {
 	if len(kvs) == 0 {
 		return nil, 0, fmt.Errorf("rankedset: level %d head missing; call Init", level)
 	}
-	t, err := a.rs.space.Unpack(kvs[0].Key)
+	rawKey, err := a.rs.entryKey(kvs[0].Key)
 	if err != nil {
 		return nil, 0, err
 	}
-	rawKey := t[1].([]byte)
 	rawVal, rawLive := a.replayPoint(level, rawKey, op.readSeq, decodeCount(kvs[0].Value), true)
 
 	// Any logged key in (rawKey, bound] was absent at issue — rawKey was the
@@ -257,11 +256,8 @@ func (op *Op) resolveFloor(level int, inclusive bool) ([]byte, int64, error) {
 	if len(again) == 0 {
 		return nil, 0, fmt.Errorf("rankedset: level %d head missing; call Init", level)
 	}
-	t, err = a.rs.space.Unpack(again[0].Key)
-	if err != nil {
-		return nil, 0, err
-	}
-	return t[1].([]byte), decodeCount(again[0].Value), nil
+	floor, err := a.rs.entryKey(again[0].Key)
+	return floor, decodeCount(again[0].Value), err
 }
 
 // resolvePresent resolves the level-0 membership probe.

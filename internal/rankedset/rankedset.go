@@ -9,6 +9,10 @@
 // — FoundationDB's key ordering supplies the fingers for free (the paper's
 // Figure 5).
 //
+// Rank and select queries descend from the top level with one range read per
+// level, over the finger chosen on the level above, so each costs one round
+// trip per level; a select reads the whole finger, past its target.
+//
 // Per §10.1, navigation reads the skip list at snapshot isolation and adds
 // read conflicts only on the distinguished keys that would actually
 // invalidate the operation; counts are updated with atomic ADDs so
@@ -185,7 +189,7 @@ func (rs *RankedSet) Rank(tr *fdb.Transaction, key []byte) (int64, bool, error) 
 		return 0, false, fmt.Errorf("rankedset: empty key is reserved")
 	}
 	fut := tr.GetAsync(rs.levelKey(0, key))
-	r, rerr := rs.countLess(tr, key)
+	r, rerr := rs.CountLess(tr, key)
 	v, err := fut.Get()
 	if err != nil {
 		return 0, false, err
@@ -200,94 +204,87 @@ func (rs *RankedSet) Rank(tr *fdb.Transaction, key []byte) (int64, bool, error) 
 }
 
 // CountLess returns how many members sort strictly before key (key need not
-// be a member) — the rank a new member would take.
+// be a member) — the rank a new member would take. It descends reading each
+// level only up to key: the last entry before key has the finger covering it,
+// so every entry ahead of it is passed. At level 0 that entry is the last
+// member before key (or head, which counts zero), so its count completes the
+// rank.
 func (rs *RankedSet) CountLess(tr *fdb.Transaction, key []byte) (int64, error) {
-	return rs.countLess(tr, key)
-}
-
-// countLess performs the skip-list descent of Figure 5(b): at each level it
-// scans the finger chain from the current position toward key. Every entry
-// except the last in the scan has its successor within the scan, so its
-// count is skipped wholesale; the last entry becomes the position for the
-// level below. At level 0 each entry *is* one member (head counts zero), so
-// all scanned counts are added directly.
-func (rs *RankedSet) countLess(tr *fdb.Transaction, key []byte) (int64, error) {
-	var rank int64
-	cur := head
-	for l := rs.levels - 1; l >= 0; l-- {
-		begin := rs.levelKey(l, cur)
-		end := rs.levelKey(l, key)
-		kvs, _, err := tr.Snapshot().GetRange(begin, end, fdb.RangeOptions{})
-		if err != nil {
-			return 0, err
-		}
-		if l == 0 {
-			for _, kv := range kvs {
-				rank += decodeCount(kv.Value)
-			}
-			break
-		}
-		for i, kv := range kvs {
-			if i == len(kvs)-1 {
-				t, err := rs.space.Unpack(kv.Key)
-				if err != nil {
-					return 0, err
-				}
-				cur = t[1].([]byte)
-			} else {
-				rank += decodeCount(kv.Value)
-			}
-		}
-	}
-	return rank, nil
+	_, passed, count, err := rs.descend(tr, key, func(_, _ int64, last bool) bool { return last })
+	return passed + count, err
 }
 
 // Select returns the member with the given 0-based rank; ok=false when rank
-// is out of range.
+// is out of range. It descends toward the first finger whose counts reach past
+// rank, reading each level's finger whole, so it costs one window per level.
 func (rs *RankedSet) Select(tr *fdb.Transaction, rank int64) ([]byte, bool, error) {
 	if rank < 0 {
 		return nil, false, nil
 	}
-	var passed int64
-	cur := head
+	member, _, _, err := rs.descend(tr, nil, func(passed, count int64, _ bool) bool {
+		return passed+count > rank
+	})
+	if err != nil || member == nil {
+		return nil, false, err
+	}
+	return member, true, nil
+}
+
+// descend performs the skip-list descent of Figure 5(b) with one snapshot
+// range read per level. At each level it reads the finger [cur, bound): bound
+// starts as limit (nil reads to the level's end) and becomes the successor of
+// the entry chosen on the level above. Entries are passed, their counts summed
+// into passed, until stop holds for one (last marks the final entry read);
+// that entry becomes cur, and the entry after it in the same read, if any,
+// becomes the bound. It returns the level-0 entry chosen with its count and the
+// members passed before it. When stop holds for no entry at the top level the
+// target lies past the end and cur is nil; below the top level that means the
+// counts disagree with the level above, and descend returns an error.
+func (rs *RankedSet) descend(tr *fdb.Transaction, limit []byte, stop func(passed, count int64, last bool) bool) (cur []byte, passed, count int64, err error) {
+	cur, bound := head, limit
 	for l := rs.levels - 1; l >= 0; l-- {
-		for {
-			raw, err := tr.Snapshot().Get(rs.levelKey(l, cur))
-			if err != nil {
-				return nil, false, err
-			}
-			count := decodeCount(raw)
-			if passed+count > rank {
-				break // descend: the target lies within cur's finger
-			}
-			// Advance along the level.
-			begin := fdb.KeyAfter(rs.levelKey(l, cur))
-			_, end := rs.levelRange(l)
-			kvs, _, err := tr.Snapshot().GetRange(begin, end, fdb.RangeOptions{Limit: 1})
-			if err != nil {
-				return nil, false, err
-			}
-			if len(kvs) == 0 {
-				if l == 0 {
-					return nil, false, nil // rank beyond the end
-				}
+		begin := rs.levelKey(l, cur)
+		_, end := rs.levelRange(l)
+		if bound != nil {
+			end = rs.levelKey(l, bound)
+		}
+		kvs, _, err := tr.Snapshot().GetRange(begin, end, fdb.RangeOptions{})
+		if err != nil {
+			return nil, 0, 0, err
+		}
+		i := 0
+		for ; i < len(kvs); i++ {
+			count = decodeCount(kvs[i].Value)
+			if stop(passed, count, i == len(kvs)-1) {
 				break
 			}
-			t, err := rs.space.Unpack(kvs[0].Key)
-			if err != nil {
-				return nil, false, err
-			}
 			passed += count
-			cur = t[1].([]byte)
 		}
-		if l == 0 {
-			if passed == rank && len(cur) > 0 {
-				return cur, true, nil
+		if i == len(kvs) {
+			if l == rs.levels-1 {
+				return nil, 0, 0, nil
 			}
-			return nil, false, nil
+			return nil, 0, 0, fmt.Errorf("rankedset: level %d finger at %q falls short of its count on level %d", l, cur, l+1)
+		}
+		if cur, err = rs.entryKey(kvs[i].Key); err != nil {
+			return nil, 0, 0, err
+		}
+		if i+1 < len(kvs) {
+			if bound, err = rs.entryKey(kvs[i+1].Key); err != nil {
+				return nil, 0, 0, err
+			}
 		}
 	}
-	return nil, false, nil
+	return cur, passed, count, nil
+}
+
+// entryKey extracts the member key from a packed level entry.
+func (rs *RankedSet) entryKey(packed []byte) ([]byte, error) {
+	t, err := rs.space.Unpack(packed)
+	if err != nil {
+		return nil, err
+	}
+	return t[1].([]byte), nil
 }
 
 // Size returns the number of members.

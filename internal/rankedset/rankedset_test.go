@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+	"time"
 
 	"recordlayer/internal/fdb"
 	"recordlayer/internal/subspace"
@@ -283,11 +284,148 @@ func TestRandomizedAgainstModel(t *testing.T) {
 					t.Fatalf("step %d: select(%d) = %q,%v; want %q", step, i, sel, ok, m)
 				}
 			}
+			for _, r := range []int64{-1, size, size + 1, size + 50} {
+				if sel, ok, err := rs.Select(tr, r); err != nil || ok {
+					t.Fatalf("step %d: select(%d) of %d = %q,%v,%v; want a miss", step, r, size, sel, ok, err)
+				}
+			}
 			return nil, nil
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
+	}
+
+	// Read-your-writes: Select inside a transaction holding uncommitted
+	// inserts and deletes must see the levels as those writes left them.
+	tr := db.CreateTransaction()
+	for i := 0; i < 60; i++ {
+		k := fmt.Sprintf("key%04d", rng.Intn(300))
+		var err error
+		if rng.Intn(2) == 0 {
+			_, err = rs.Delete(tr, []byte(k))
+			delete(model, k)
+		} else {
+			_, err = rs.Insert(tr, []byte(k))
+			model[k] = true
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		sorted := make([]string, 0, len(model))
+		for m := range model {
+			sorted = append(sorted, m)
+		}
+		sort.Strings(sorted)
+		for r, m := range sorted {
+			sel, ok, err := rs.Select(tr, int64(r))
+			if err != nil || !ok || string(sel) != m {
+				t.Fatalf("write %d: uncommitted select(%d) = %q,%v,%v; want %q", i, r, sel, ok, err, m)
+			}
+		}
+		if sel, ok, err := rs.Select(tr, int64(len(sorted))); err != nil || ok {
+			t.Fatalf("write %d: uncommitted select(size) = %q,%v,%v; want a miss", i, sel, ok, err)
+		}
+	}
+}
+
+// TestRankReadsCostOneWindowPerLevel pins the descent's cost on the virtual
+// clock: every seek reads each level's finger in one range read, so Select
+// and CountLess cost exactly one window per level, and a rank past the end
+// stops at the top level.
+func TestRankReadsCostOneWindowPerLevel(t *testing.T) {
+	const window = time.Millisecond
+	const n = 2000
+	db := fdb.Open(&fdb.Options{Latency: fdb.LatencyModel{PerRead: window, Virtual: true}})
+	rs := New(subspace.FromTuple(tuple.Tuple{"rank"}), nil)
+	for lo := 0; lo < n; lo += 500 {
+		_, err := db.Transact(context.Background(), func(_ context.Context, tr *fdb.Transaction) (interface{}, error) {
+			if err := rs.Init(tr); err != nil {
+				return nil, err
+			}
+			for i := lo; i < lo+500; i++ {
+				if _, err := rs.Insert(tr, []byte(fmt.Sprintf("m%05d", i*7919%n))); err != nil {
+					return nil, err
+				}
+			}
+			return nil, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, err := db.ReadTransact(context.Background(), func(_ context.Context, tr *fdb.Transaction) (interface{}, error) {
+		windows := func(call func() error) int64 {
+			t.Helper()
+			before := tr.Stats().SimWaitNanos
+			if err := call(); err != nil {
+				t.Fatal(err)
+			}
+			return (tr.Stats().SimWaitNanos - before) / int64(window)
+		}
+		for _, r := range []int64{0, n / 2, n - 1} {
+			var got []byte
+			var ok bool
+			w := windows(func() (err error) {
+				got, ok, err = rs.Select(tr, r)
+				return err
+			})
+			if want := fmt.Sprintf("m%05d", r); !ok || string(got) != want {
+				t.Fatalf("select(%d) = %q,%v; want %q", r, got, ok, want)
+			}
+			if w != DefaultLevels {
+				t.Errorf("select(%d) cost %d windows, want %d", r, w, DefaultLevels)
+			}
+		}
+		var less int64
+		w := windows(func() (err error) {
+			less, err = rs.CountLess(tr, []byte("m01234x"))
+			return err
+		})
+		if less != 1235 {
+			t.Errorf("countLess = %d, want 1235", less)
+		}
+		if w != DefaultLevels {
+			t.Errorf("countLess cost %d windows, want %d", w, DefaultLevels)
+		}
+		for _, r := range []int64{n, n + 7} {
+			var ok bool
+			w := windows(func() (err error) {
+				_, ok, err = rs.Select(tr, r)
+				return err
+			})
+			if ok {
+				t.Errorf("select(%d) of %d members should miss", r, n)
+			}
+			if w > DefaultLevels {
+				t.Errorf("select(%d) cost %d windows, want at most %d", r, w, DefaultLevels)
+			}
+		}
+		return nil, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSelectReportsCorruptFinger: below the top level, a finger whose counts
+// cannot reach the rank its parent promised is corruption, not a miss.
+func TestSelectReportsCorruptFinger(t *testing.T) {
+	db, rs := newSet(t, figure5Config())
+	insert(t, db, rs, "a", "b", "c", "d", "e", "f")
+	_, err := db.Transact(context.Background(), func(_ context.Context, tr *fdb.Transaction) (interface{}, error) {
+		// Level 2's finger at a claims six members; drop one from level 1.
+		if err := tr.Set(rs.levelKey(1, []byte("d")), encodeCount(2)); err != nil {
+			return nil, err
+		}
+		_, ok, err := rs.Select(tr, 5)
+		if err == nil {
+			t.Errorf("select over a short finger: ok=%v, want an error", ok)
+		}
+		return nil, nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 
